@@ -101,7 +101,7 @@ let f4 () =
   in
   let p = Ccs.Ptas.Common.param 2 in
   let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve p inst in
-  Printf.printf "accepted T* = %s\n" (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
+  Printf.printf "accepted T* = %s\n" (Q.to_string stats.Ccs.Ptas.Common.t_accepted);
   (* reconstruct the dissolution view per machine: class -> its jobs there *)
   let per_machine = Hashtbl.create 4 in
   Array.iteri

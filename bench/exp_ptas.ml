@@ -49,10 +49,10 @@ let e6 () =
                       | Ok mk -> Q.to_float mk /. Q.to_float opt
                     in
                     let t_ok =
-                      let t_accepted = stats.Ccs.Ptas.Splittable_ptas.t_accepted in
+                      let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
                       Q.(t_accepted <= Q.mul (Q.add Q.one (Ccs.Ptas.Common.delta p)) opt)
                     in
-                    Some (ratio, float_of_int stats.Ccs.Ptas.Splittable_ptas.ilp_vars, t_ok))
+                    Some (ratio, float_of_int stats.Ccs.Ptas.Common.ilp_vars, t_ok))
               instances)
       in
       Array.iter
@@ -82,8 +82,8 @@ let e6 () =
       Printf.printf
         "Theorem 11 (m = 10^12): makespan %s at T* = %s, compressed=%b, blocks=%d, %.1fs\n"
         (Q.to_string mk)
-        (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted)
-        stats.Ccs.Ptas.Splittable_ptas.compressed
+        (Q.to_string stats.Ccs.Ptas.Common.t_accepted)
+        (Ccs.Instance.m inst > Ccs.Ptas.Splittable_ptas.explicit_limit)
         (List.length sched.Ccs.Schedule.blocks) elapsed
   | Error e -> failwith e);
   U.footnote
@@ -119,7 +119,7 @@ let e7 () =
                             float_of_int mk /. float_of_int amk )
                     in
                     let t_ok =
-                      let t_accepted = stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted in
+                      let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
                       Q.(t_accepted <= Q.mul (Q.add Q.one (Ccs.Ptas.Common.delta p)) (Q.of_int opt))
                     in
                     Some (row, t_ok))
@@ -154,7 +154,7 @@ let e8 () =
   List.iter
     (fun d ->
       let p = Ccs.Ptas.Common.param d in
-      let ratios = ref [] and failures = ref 0 and layers = ref 0 in
+      let ratios = ref [] and failures = ref 0 in
       let results, elapsed =
         U.time (fun () ->
             Ccs_par.parallel_map
@@ -170,26 +170,24 @@ let e8 () =
                       | None -> Ccs.Bounds.lb_preemptive inst)
                 in
                 try
-                  let sched, stats = Ccs.Ptas.Preemptive_ptas.solve p inst in
+                  let sched, _ = Ccs.Ptas.Preemptive_ptas.solve p inst in
                   match Ccs.Schedule.validate_preemptive inst sched with
                   | Error e -> failwith ("E8: " ^ e)
-                  | Ok mk ->
-                      `Solved
-                        ( stats.Ccs.Ptas.Preemptive_ptas.layers,
-                          Q.to_float mk /. Q.to_float lb )
+                  | Ok mk -> `Solved (Q.to_float mk /. Q.to_float lb)
                 with Failure _ -> `Failed)
               instances)
       in
       Array.iter
         (function
           | `Failed -> incr failures
-          | `Solved (l, r) ->
-              layers := max !layers l;
-              ratios := r :: !ratios)
+          | `Solved r -> ratios := r :: !ratios)
         results;
       let mx, mean = U.summarize !ratios in
       T.add_row table
-        [ Printf.sprintf "1/%d" d; string_of_int !layers; U.f4 mean; U.f4 mx;
+        [ Printf.sprintf "1/%d" d;
+          string_of_int (Ccs.Ptas.Preemptive_ptas.layers p);
+          U.f4 mean;
+          U.f4 mx;
           string_of_int !failures; Printf.sprintf "%.1fs" elapsed ])
     [ 1; 2 ];
   T.print table;

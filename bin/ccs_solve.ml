@@ -262,7 +262,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
             let mk = Result.get_ok (Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
-              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted);
+              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Common.t_accepted);
             if not quiet then print_splittable out sched
         | Splittable, Nfold ->
             (* Dual-approximation search driven by the paper's literal
@@ -312,7 +312,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
             let mk = Result.get_ok (Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive PTAS (delta=1/%d): makespan %s (accepted T=%s)\n" d
-              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Preemptive_ptas.t_accepted);
+              (Q.to_string mk) (Q.to_string stats.Ccs.Ptas.Common.t_accepted);
             if not quiet then print_pre out sched
         | Preemptive, Exact ->
             Printf.bprintf out "no exact preemptive solver (see DESIGN.md); lower bound: %s\n"
@@ -330,7 +330,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
             let mk = Result.get_ok (Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive PTAS (delta=1/%d): makespan %d (accepted T=%s)\n" d mk
-              (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
+              (Q.to_string stats.Ccs.Ptas.Common.t_accepted);
             if not quiet then print_np out inst sched
         | Nonpreemptive, Exact when portfolio -> (
             match Ccs_exact.Portfolio.solve ?node_limit inst with

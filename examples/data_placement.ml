@@ -65,10 +65,10 @@ let () =
     | Error e -> failwith e
   in
   Printf.printf "\nPTAS (delta=1/2): makespan %d after %d oracle calls (accepted T = %s)\n" makespan'
-    stats'.Ccs.Ptas.Nonpreemptive_ptas.oracle_calls
-    (Q.to_string stats'.Ccs.Ptas.Nonpreemptive_ptas.t_accepted);
+    stats'.Ccs.Ptas.Common.oracle_calls
+    (Q.to_string stats'.Ccs.Ptas.Common.t_accepted);
   Printf.printf "PTAS guarantee at this delta: %s; 7/3-approx bound: %d\n"
-    (Q.to_string (Ccs.Ptas.Nonpreemptive_ptas.guarantee param stats'.Ccs.Ptas.Nonpreemptive_ptas.t_accepted))
+    (Q.to_string (Ccs.Ptas.Nonpreemptive_ptas.guarantee param stats'.Ccs.Ptas.Common.t_accepted))
     (7 * stats.Ccs.Approx.Nonpreemptive.t_guess / 3);
   (* An honest reproduction observation (EXPERIMENTS.md, E7): the PTAS beats
      the 7/3-approximation only once delta is small, but the configuration

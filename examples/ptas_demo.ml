@@ -35,8 +35,8 @@ let () =
       | Ok mk ->
           Printf.printf "1/%-6d %-10d %-12.4f %-10s %-8d %.2fs\n" d mk
             (float_of_int mk /. float_of_int exact_np)
-            (Q.to_string stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted)
-            stats.Ccs.Ptas.Nonpreemptive_ptas.ilp_vars elapsed
+            (Q.to_string stats.Ccs.Ptas.Common.t_accepted)
+            stats.Ccs.Ptas.Common.ilp_vars elapsed
       | Error e -> failwith e)
     [ 1; 2; 3 ];
 
@@ -56,7 +56,7 @@ let () =
       | Ok mk ->
           Printf.printf "1/%-6d %-10.4f %-12.4f %-10s %-8d %.2fs\n" d (Q.to_float mk)
             (Q.to_float mk /. exact_sp)
-            (Q.to_string stats.Ccs.Ptas.Splittable_ptas.t_accepted)
-            stats.Ccs.Ptas.Splittable_ptas.ilp_vars elapsed
+            (Q.to_string stats.Ccs.Ptas.Common.t_accepted)
+            stats.Ccs.Ptas.Common.ilp_vars elapsed
       | Error e -> failwith e)
     [ 1; 2; 3 ]

@@ -163,7 +163,7 @@ let ptas_gate ?(pre = false) limits inst =
   && I.m inst <= limits.ptas_machines
 
 let split_ptas param =
-  let guarantee t = Q.mul (Q.add Q.one (Q.mul (Q.of_int 5) (Common.delta param))) t in
+  let guarantee t = Ccs.Ptas.Splittable_ptas.guarantee param t in
   {
     name = "splittable/ptas";
     regime = Splittable;
@@ -178,7 +178,7 @@ let split_ptas param =
       (fun inst ->
         let sched, stats = Ccs.Ptas.Splittable_ptas.solve param inst in
         validated S.validate_splittable inst sched (fun mk ->
-            let t = stats.Ccs.Ptas.Splittable_ptas.t_accepted in
+            let t = stats.Ccs.Ptas.Common.t_accepted in
             { makespan = mk; lower = ptas_lower param t; upper = guarantee t; witness = t }));
   }
 
@@ -198,7 +198,7 @@ let pre_ptas param =
       (fun inst ->
         let sched, stats = Ccs.Ptas.Preemptive_ptas.solve param inst in
         validated S.validate_preemptive inst sched (fun mk ->
-            let t = stats.Ccs.Ptas.Preemptive_ptas.t_accepted in
+            let t = stats.Ccs.Ptas.Common.t_accepted in
             { makespan = mk; lower = ptas_lower param t; upper = guarantee t; witness = t }));
   }
 
@@ -219,7 +219,7 @@ let np_ptas param =
       (fun inst ->
         let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve param inst in
         validated S.validate_nonpreemptive inst sched (fun mk ->
-            let t = stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted in
+            let t = stats.Ccs.Ptas.Common.t_accepted in
             { makespan = Q.of_int mk; lower = ptas_lower param t; upper = guarantee t; witness = t }));
   }
 

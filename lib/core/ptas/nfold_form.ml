@@ -11,26 +11,15 @@ type built = { program : Nfold.t; n_configs : int; n_modules : int; n_hb : int }
    [.. +nhb-1]                 slack for the (3) space rows *)
 let build_splittable p inst t =
   let rounded = Sp.round_instance p inst t in
-  let configs = Array.of_list (Sp.configurations p inst rounded) in
+  let configs =
+    Common.multisets ~parts:rounded.Sp.module_sizes ~max_sum:rounded.Sp.tbar
+      ~max_count:rounded.Sp.cstar ()
+    |> Array.of_list
+  in
   let nk = Array.length configs in
   let module_sizes = Array.of_list rounded.Sp.module_sizes in
   let nm = Array.length module_sizes in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb = Array.of_list (List.rev !hb_list) in
+  let hb_of_config, hb = Common.hb_group configs in
   let nhb = Array.length hb in
   let brick_t = nk + nm + nhb + nhb + nhb in
   let x_off = 0 and y_off = nk and z_off = nk + nm in
@@ -128,7 +117,10 @@ let build_splittable p inst t =
   Nfold.validate program;
   { program; n_configs = nk; n_modules = nm; n_hb = nhb }
 
-let feasible_splittable ?(max_nodes = 30_000) p inst t =
+(* Branch & bound node budget of one flattened N-fold solve. *)
+let max_nodes = 30_000
+
+let feasible_splittable p inst t =
   let { program; _ } = build_splittable p inst t in
   match Nfold.solve_ilp ~max_nodes ~feasibility:true program with
   | `Solution _ -> true
@@ -164,22 +156,7 @@ let build_nonpreemptive p inst t =
     Common.multisets ~parts:sizes ~max_sum:tbar ~max_count:cstar () |> Array.of_list
   in
   let nk = Array.length configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb = Array.of_list (List.rev !hb_list) in
+  let hb_of_config, hb = Common.hb_group configs in
   let nhb = Array.length hb in
   let brick_t = nk + nm + (3 * nhb) in
   let x_off = 0 and y_off = nk and z_off = nk + nm in
@@ -300,7 +277,7 @@ let build_nonpreemptive p inst t =
   Nfold.validate program;
   { program; n_configs = nk; n_modules = nm; n_hb = nhb }
 
-let feasible_nonpreemptive ?(max_nodes = 30_000) p inst t =
+let feasible_nonpreemptive p inst t =
   if Q.(Q.of_int (Instance.pmax inst) > t) then false
   else begin
     let { program; _ } = build_nonpreemptive p inst t in

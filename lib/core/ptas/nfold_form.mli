@@ -30,8 +30,8 @@ val build_splittable : Common.param -> Instance.t -> Rat.t -> built
 
 (** Feasibility of the guess via the N-fold (flattened MILP backend):
     must agree with {!Splittable_ptas.oracle} on every instance. Raises
-    {!Common.Budget_exceeded} when undecided within the node budget. *)
-val feasible_splittable : ?max_nodes:int -> Common.param -> Instance.t -> Rat.t -> bool
+    {!Common.Budget_exceeded} when undecided within 30000 B&B nodes. *)
+val feasible_splittable : Common.param -> Instance.t -> Rat.t -> bool
 
 (** The non-preemptive duplicated N-fold (Section 4.2): locally uniform rows
     are the per-processing-time covering constraints, so [s = |P| + 1];
@@ -40,4 +40,4 @@ val feasible_splittable : ?max_nodes:int -> Common.param -> Instance.t -> Rat.t 
 val build_nonpreemptive : Common.param -> Instance.t -> Rat.t -> built
 
 (** Raises {!Common.Budget_exceeded} when undecided within the budget. *)
-val feasible_nonpreemptive : ?max_nodes:int -> Common.param -> Instance.t -> Rat.t -> bool
+val feasible_nonpreemptive : Common.param -> Instance.t -> Rat.t -> bool

@@ -1,7 +1,5 @@
 module Q = Rat
 
-type stats = { t_accepted : Q.t; oracle_calls : int; ilp_vars : int }
-
 let guarantee (p : Common.param) t =
   let delta = Common.delta p in
   Q.add
@@ -10,54 +8,13 @@ let guarantee (p : Common.param) t =
        t)
     (Q.mul delta t)
 
-(* A grouped job: total (original, un-rounded) size and the original job ids
-   it carries. In the non-preemptive case all of them go to one machine. *)
-type gjob = { gsize : int; members : int list }
-
-type gclass = {
-  large_jobs : gjob list;  (* every size >= delta*T; empty for small classes *)
-  small_job : gjob option;  (* single grouped job of size < delta*T *)
-}
-
-(* Lemma 12 grouping for one class at guess T. [delta_t] is delta*T. *)
-let group_class ~delta_t jobs =
-  (* jobs: (id, size); delta_t rational *)
-  let is_small (_, p) = Q.(Q.of_int p < delta_t) in
-  let smalls, bigs = List.partition is_small jobs in
-  (* bundle smalls into packets of size in [delta*T, 2 delta*T) *)
-  let packets = ref [] in
-  let cur_ids = ref [] and cur_sz = ref 0 in
-  List.iter
-    (fun (id, p) ->
-      cur_ids := id :: !cur_ids;
-      cur_sz := !cur_sz + p;
-      if Q.(Q.of_int !cur_sz >= delta_t) then begin
-        packets := { gsize = !cur_sz; members = !cur_ids } :: !packets;
-        cur_ids := [];
-        cur_sz := 0
-      end)
-    smalls;
-  let leftover =
-    if !cur_sz > 0 then Some { gsize = !cur_sz; members = !cur_ids } else None
-  in
-  let big_gjobs = List.map (fun (id, p) -> { gsize = p; members = [ id ] }) bigs in
-  let all_large = big_gjobs @ !packets in
-  match (leftover, all_large) with
-  | None, [] -> assert false (* classes are non-empty *)
-  | None, large -> { large_jobs = large; small_job = None }
-  | Some y, [] -> { large_jobs = []; small_job = Some y }
-  | Some y, j :: rest ->
-      (* merge the leftover into an arbitrary other job of the class *)
-      let merged = { gsize = j.gsize + y.gsize; members = j.members @ y.members } in
-      { large_jobs = merged :: rest; small_job = None }
-
 type rounded = {
   tbar : int;  (* in base units delta^2*T/c *)
   cstar : int;
-  gclasses : gclass array;
+  gclasses : Common.gclass array;
   (* large classes: (gclass index, histogram of rounded sizes in base units,
      jobs bucketed per rounded size) *)
-  large : (int * (int * int) list * (int, gjob list ref) Hashtbl.t) list;
+  large : (int * (int * int) list * (int, Common.gjob list ref) Hashtbl.t) list;
   smalls_by_size : (int * int list) list;  (* rounded size -> gclass indices *)
 }
 
@@ -67,36 +24,29 @@ let round_instance (p : Common.param) inst t =
   let unit_q = Q.div t (Q.of_int (c * d * d)) in
   let tbar = c * (d + 3) * (d + 2) in
   let delta_t = Q.div t (Q.of_int d) in
-  let class_jobs = Instance.class_jobs inst in
-  let gclasses =
-    Array.mapi
-      (fun _u ids ->
-        let jobs = List.map (fun j -> (j, (Instance.job inst j).Instance.p)) ids in
-        group_class ~delta_t jobs)
-      class_jobs
-  in
+  let gclasses = Common.group_classes inst ~delta_t in
   let large = ref [] and smalls = Hashtbl.create 8 in
   Array.iteri
     (fun gi gc ->
-      match gc.small_job with
+      match gc.Common.small_job with
       | Some y ->
-          let s = max 1 (Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int y.gsize) unit_q))) in
+          let s = max 1 (Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int y.Common.gsize) unit_q))) in
           let prev = Option.value ~default:[] (Hashtbl.find_opt smalls s) in
           Hashtbl.replace smalls s (gi :: prev)
       | None ->
-          let buckets : (int, gjob list ref) Hashtbl.t = Hashtbl.create 8 in
+          let buckets : (int, Common.gjob list ref) Hashtbl.t = Hashtbl.create 8 in
           List.iter
             (fun gj ->
               (* multiples of delta^2*T = c base units *)
               let k =
                 Bigint.to_int_exn
-                  (Q.ceil (Q.div (Q.of_int gj.gsize) (Q.mul unit_q (Q.of_int c))))
+                  (Q.ceil (Q.div (Q.of_int gj.Common.gsize) (Q.mul unit_q (Q.of_int c))))
               in
               let size = k * c in
               match Hashtbl.find_opt buckets size with
               | Some r -> r := gj :: !r
               | None -> Hashtbl.replace buckets size (ref [ gj ]))
-            gc.large_jobs;
+            gc.Common.large_jobs;
           let hist =
             Hashtbl.fold (fun size r acc -> (size, List.length !r) :: acc) buckets []
             |> List.sort compare
@@ -117,163 +67,62 @@ let class_modules rounded (_, hist, _) =
   Common.bounded_multisets ~parts:hist ~max_sum:rounded.tbar ~max_count:max_int ()
   |> List.filter (( <> ) [])
 
-type layout = {
-  nvars : int;
-  x : int array;
-  (* y variables: (large index, module) -> var *)
-  y : (int * int list, int) Hashtbl.t;
-  modules : (int * int list) list;  (* (large index, module) in y order *)
-  w : (int * int, int) Hashtbl.t;
-  configs : int list array;
-  hb_of_config : int array;
-  hb_groups : (int * int) array;
-  module_sizes : int list;  (* distinct Lambda(M) values, descending *)
-}
+(* Modules are enumerated per class; the y variables are the modules,
+   (large index, module) in class order, and configurations are multisets
+   of module sizes. *)
+let round p inst t =
+  let r = round_instance p inst t in
+  let modules =
+    List.mapi (fun li lc -> List.map (fun m -> (li, m)) (class_modules r lc)) r.large
+    |> List.concat |> Array.of_list
+  in
+  let size mdl = List.fold_left ( + ) 0 mdl in
+  let module_parts = Array.map (fun (_, mdl) -> size mdl) modules in
+  ( (r, modules),
+    {
+      Common.parts = List.sort_uniq (fun a b -> compare b a) (Array.to_list module_parts);
+      capacity = r.tbar;
+      cstar = r.cstar;
+      module_parts;
+      large = List.length r.large;
+      smalls = r.smalls_by_size;
+      part_space = 1;
+      tbar = r.tbar;
+      cap = None;
+    } )
 
-let build_layout rounded =
-  (* candidate modules per large class and the global size set *)
-  let per_class_modules =
-    List.mapi (fun li lc -> (li, class_modules rounded lc)) rounded.large
-  in
-  let sizes =
-    List.concat_map (fun (_, ms) -> List.map (fun m -> List.fold_left ( + ) 0 m) ms)
-      per_class_modules
-    |> List.sort_uniq (fun a b -> compare b a)
-  in
-  let configs =
-    Common.multisets ~parts:sizes ~max_sum:rounded.tbar ~max_count:rounded.cstar ()
-  in
-  let configs = Array.of_list configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb_groups = Array.of_list (List.rev !hb_list) in
-  let next = ref 0 in
-  let fresh () =
-    let v = !next in
-    incr next;
-    v
-  in
-  let x = Array.init (Array.length configs) (fun _ -> fresh ()) in
-  let y = Hashtbl.create 64 in
-  let modules = ref [] in
-  List.iter
-    (fun (li, ms) ->
-      List.iter
-        (fun m ->
-          Hashtbl.replace y (li, m) (fresh ());
-          modules := (li, m) :: !modules)
-        ms)
-    per_class_modules;
-  let w = Hashtbl.create 64 in
-  List.iter
-    (fun (s, _) ->
-      Array.iteri (fun hbi _ -> Hashtbl.replace w (s, hbi) (fresh ())) hb_groups)
-    rounded.smalls_by_size;
-  {
-    nvars = !next;
-    x;
-    y;
-    modules = List.rev !modules;
-    w;
-    configs;
-    hb_of_config;
-    hb_groups;
-    module_sizes = sizes;
-  }
-
-let build_rows inst rounded layout =
-  let c = Instance.c inst in
-  let m = Instance.m inst in
-  let rows = ref [] in
-  let push r = rows := r :: !rows in
-  push (Common.row_eq (Array.to_list (Array.map (fun v -> (v, 1)) layout.x)) m);
-  (* (1) per module size q: config slots = chosen modules of that size *)
-  List.iter
-    (fun q ->
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki k ->
-          let cnt = List.length (List.filter (( = ) q) k) in
-          if cnt > 0 then lhs := (layout.x.(ki), cnt) :: !lhs)
-        layout.configs;
-      List.iter
-        (fun (li, mdl) ->
-          if List.fold_left ( + ) 0 mdl = q then
-            lhs := (Hashtbl.find layout.y (li, mdl), -1) :: !lhs)
-        layout.modules;
-      push (Common.row_eq !lhs 0))
-    layout.module_sizes;
-  (* (2,3) small-class capacity per (h,b) *)
-  Array.iteri
-    (fun hbi (h, b) ->
-      let xs = ref [] in
-      Array.iteri
-        (fun ki v -> if layout.hb_of_config.(ki) = hbi then xs := v :: !xs)
-        layout.x;
-      let slot_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), 1)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, b - c)) !xs
-      in
-      push (Common.row_le slot_row 0);
-      let space_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), s)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, h - rounded.tbar)) !xs
-      in
-      push (Common.row_le space_row 0))
-    layout.hb_groups;
-  (* (4) per large class and size: exact cover of the job histogram *)
-  List.iteri
+(* (4) per large class and size: exact cover of the job histogram *)
+let cover (r, modules) l =
+  List.mapi
     (fun li (_, hist, _) ->
-      List.iter
+      List.map
         (fun (size, count) ->
           let lhs = ref [] in
-          List.iter
-            (fun (li', mdl) ->
+          Array.iteri
+            (fun i (li', mdl) ->
               if li' = li then begin
                 let cnt = List.length (List.filter (( = ) size) mdl) in
-                if cnt > 0 then lhs := (Hashtbl.find layout.y (li, mdl), cnt) :: !lhs
+                if cnt > 0 then lhs := (Common.y_var l i, cnt) :: !lhs
               end)
-            layout.modules;
-          push (Common.row_eq !lhs count))
+            modules;
+          Common.row_eq !lhs count)
         hist)
-    rounded.large;
-  (* (5) per small size *)
-  List.iter
-    (fun (s, cls) ->
-      let lhs =
-        Array.to_list
-          (Array.mapi (fun hbi _ -> (Hashtbl.find layout.w (s, hbi), 1)) layout.hb_groups)
-      in
-      push (Common.row_eq lhs (List.length cls)))
-    rounded.smalls_by_size;
-  List.rev !rows
+    r.large
+  |> List.concat
 
-let construct inst rounded layout sol =
+let construct inst (r, modules) l sol =
   let n = Instance.n inst in
   (* module supply: per size, (large index, module, count) *)
   let supply = Hashtbl.create 16 in
-  List.iter
-    (fun (li, mdl) ->
-      let v = sol.(Hashtbl.find layout.y (li, mdl)) in
+  Array.iteri
+    (fun i (li, mdl) ->
+      let v = sol.(Common.y_var l i) in
       if v > 0 then begin
         let q = List.fold_left ( + ) 0 mdl in
         let prev = Option.value ~default:[] (Hashtbl.find_opt supply q) in
         Hashtbl.replace supply q ((li, mdl, ref v) :: prev)
       end)
-    layout.modules;
+    modules;
   let pop_module q =
     match Hashtbl.find_opt supply q with
     | Some entries -> (
@@ -284,21 +133,15 @@ let construct inst rounded layout sol =
         | None -> failwith "Nonpreemptive_ptas: module supply exhausted")
     | None -> failwith "Nonpreemptive_ptas: no module of requested size"
   in
-  (* materialize machines *)
-  let machines = ref [] in
-  Array.iteri
-    (fun ki k ->
-      for _ = 1 to sol.(layout.x.(ki)) do
-        machines := (ki, k) :: !machines
-      done)
-    layout.configs;
-  let machines = Array.of_list !machines in
+  let machines = Common.machines l sol in
   let assignment = Array.make n (-1) in
-  let large = Array.of_list rounded.large in
+  let large = Array.of_list r.large in
   (* job queues per (large class, rounded size) are the buckets *)
-  let place_gjob machine gj = List.iter (fun id -> assignment.(id) <- machine) gj.members in
+  let place_gjob machine gj =
+    List.iter (fun id -> assignment.(id) <- machine) gj.Common.members
+  in
   Array.iteri
-    (fun mi (_, k) ->
+    (fun mi ki ->
       List.iter
         (fun q ->
           let li, mdl = pop_module q in
@@ -311,7 +154,7 @@ let construct inst rounded layout sol =
                   place_gjob mi gj
               | _ -> failwith "Nonpreemptive_ptas: job bucket exhausted")
             mdl)
-        k)
+        l.Common.configs.(ki))
     machines;
   (* all large jobs must be placed *)
   Array.iter
@@ -320,120 +163,40 @@ let construct inst rounded layout sol =
         (fun _ r -> if !r <> [] then failwith "Nonpreemptive_ptas: unplaced large jobs")
         buckets)
     large;
-  (* small classes by round robin within (h,b) groups *)
-  let group_machines = Array.make (Array.length layout.hb_groups) [] in
-  Array.iteri
-    (fun mi (ki, _) ->
-      let g = layout.hb_of_config.(ki) in
-      group_machines.(g) <- mi :: group_machines.(g))
-    machines;
-  let smalls_remaining = List.map (fun (s, cls) -> (s, ref cls)) rounded.smalls_by_size in
-  Array.iteri
-    (fun hbi _ ->
-      let chosen = ref [] in
-      List.iter
-        (fun (s, remaining) ->
-          let v = sol.(Hashtbl.find layout.w (s, hbi)) in
-          for _ = 1 to v do
-            match !remaining with
-            | gi :: rest ->
-                remaining := rest;
-                chosen := (s, gi) :: !chosen
-            | [] -> failwith "Nonpreemptive_ptas: small class accounting mismatch"
-          done)
-        smalls_remaining;
-      let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !chosen in
-      if sorted <> [] then begin
-        let arr = Array.of_list (List.rev group_machines.(hbi)) in
-        let count = Array.length arr in
-        if count = 0 then failwith "Nonpreemptive_ptas: empty group with small classes";
-        List.iteri
-          (fun i (_, gi) ->
-            match rounded.gclasses.(gi).small_job with
-            | Some gj -> place_gjob arr.(i mod count) gj
-            | None -> assert false)
-          sorted
-      end)
-    layout.hb_groups;
+  Common.place_smalls l sol ~group:(Common.group_machines l machines) (fun mi gi ->
+      match r.gclasses.(gi).Common.small_job with
+      | Some gj -> place_gjob mi gj
+      | None -> assert false);
   Array.iteri
     (fun j mi -> if mi < 0 then failwith (Printf.sprintf "Nonpreemptive_ptas: job %d unplaced" j))
     assignment;
   assignment
 
-let oracle ?warm ?basis_out (p : Common.param) inst t =
-  if Q.(Q.of_int (Instance.pmax inst) > t) then None
-  else
-    Ccs_obs.Span.with_ "nonpreemptive.oracle"
-      ~fields:[ Ccs_obs.Log.str "t" (Q.to_string t) ]
-    @@ fun () ->
-    let rounded = Ccs_obs.Span.with_ "ptas.round" (fun () -> round_instance p inst t) in
-    let layout = Ccs_obs.Span.with_ "ptas.layout" (fun () -> build_layout rounded) in
-    Common.observe_rounding
-      ~large:(List.length rounded.large)
-      ~small_groups:(List.length rounded.smalls_by_size)
-      ~configs:(Array.length layout.configs);
-    let rows = build_rows inst rounded layout in
-    let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
-    | None -> None
-    | Some sol ->
-        let assignment =
-          Ccs_obs.Span.with_ "ptas.construct" (fun () -> construct inst rounded layout sol)
-        in
-        (match Schedule.validate_nonpreemptive inst assignment with
-        | Ok _ -> Some assignment
-        | Error e -> failwith ("Nonpreemptive_ptas: constructed invalid schedule: " ^ e))
-
-let solve ?progress p inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Nonpreemptive_ptas.solve: C > c*m, no schedule exists";
-  let n = Instance.n inst in
-  if Instance.m inst >= n then
+let regime =
+  {
+    Common.name = "nonpreemptive";
+    whole_jobs = true;
+    bounds =
+      (fun inst ->
+        let m = Instance.m inst in
+        let avg = (Instance.total_load inst + m - 1) / m in
+        let lb = Q.of_int (max (Instance.pmax inst) avg) in
+        (* the 7/3 schedule's makespan is achievable, hence an accepted guess *)
+        let approx_sched, _ = Approx.Nonpreemptive.solve inst in
+        (lb, Q.of_int (Schedule.nonpreemptive_makespan inst approx_sched)));
     (* one job per machine: optimal with makespan pmax *)
-    ( Array.init n (fun j -> j),
-      { t_accepted = Q.of_int (Instance.pmax inst); oracle_calls = 0; ilp_vars = 0 } )
-  else
-    Ccs_obs.Recorder.phase "ptas"
-    @@ fun () ->
-    Ccs_obs.Span.with_ "nonpreemptive.solve"
-      ~fields:
-        [ Ccs_obs.Log.int "n" n;
-          Ccs_obs.Log.int "m" (Instance.m inst);
-          Ccs_obs.Log.int "c" (Instance.c inst);
-          Ccs_obs.Log.int "d" p.Common.d ]
-    @@ fun () ->
-    (* probes run on pool domains, so the call counter must be atomic *)
-    let calls = Atomic.make 0 in
-    (* set-once warm reference basis; see Splittable_ptas.solve *)
-    let warm_ref = Atomic.make None in
-    let orc t =
-      Atomic.incr calls;
-      let bout = ref None in
-      let r = oracle ?warm:(Atomic.get warm_ref) ~basis_out:bout p inst t in
-      (match (Atomic.get warm_ref, !bout) with
-      | None, Some b -> ignore (Atomic.compare_and_set warm_ref None (Some b))
-      | _ -> ());
-      r
-    in
-    let total = Instance.total_load inst in
-    let m = Instance.m inst in
-    let lb = Q.of_int (max (Instance.pmax inst) ((total + m - 1) / m)) in
-    (* the 7/3 schedule's makespan is achievable, hence an accepted guess *)
-    let approx_sched, _ = Approx.Nonpreemptive.solve inst in
-    let ub = Q.max lb (Q.of_int (Schedule.nonpreemptive_makespan inst approx_sched)) in
-    let sched, t_accepted =
-      Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
-    in
-    let rounded = round_instance p inst t_accepted in
-    let layout = build_layout rounded in
-    Ccs_obs.Log.info (fun log ->
-        log
-          ~fields:
-            [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-              Ccs_obs.Log.int "oracle_calls" (Atomic.get calls);
-              Ccs_obs.Log.int "ilp_vars" layout.nvars ]
-          "nonpreemptive.solve: accepted");
-    (sched, { t_accepted; oracle_calls = (Atomic.get calls); ilp_vars = layout.nvars })
+    one_per_machine = Some (fun inst -> Array.init (Instance.n inst) Fun.id);
+    round;
+    cover;
+    construct;
+    validate =
+      (fun inst sched -> Result.map ignore (Schedule.validate_nonpreemptive inst sched));
+    guarantee;
+  }
+
+let solve p inst = Common.solve regime p inst
+let solve_anytime p inst = Common.solve_anytime regime p inst
+let oracle p inst t = Common.oracle regime p inst t
 
 type abstract = {
   a_tbar : int;
@@ -450,16 +213,3 @@ let abstract p inst t =
     a_large_hists = List.map (fun (_, hist, _) -> hist) rounded.large;
     a_smalls = List.map (fun (s, cls) -> (s, List.length cls)) rounded.smalls_by_size;
   }
-
-(* Anytime entry; see Splittable_ptas.solve_anytime. *)
-let solve_anytime p inst =
-  let prog = Common.progress () in
-  match solve ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }

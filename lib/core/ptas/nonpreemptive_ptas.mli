@@ -21,33 +21,18 @@
     are counted, not enumerated. When m >= n the instance is answered
     directly with the optimal one-job-per-machine schedule. *)
 
-type stats = {
-  t_accepted : Rat.t;
-  oracle_calls : int;
-  ilp_vars : int;
-}
-
 (** Makespan guarantee for a schedule accepted at guess T:
     (1+3delta)(1+2delta)T + delta*T. *)
 val guarantee : Common.param -> Rat.t -> Rat.t
 
-val solve :
-  ?progress:Schedule.nonpreemptive Common.progress ->
-  Common.param ->
-  Instance.t ->
-  Schedule.nonpreemptive * stats
+(** The full PTAS; see {!Common.solve}. *)
+val solve : Common.param -> Instance.t -> Schedule.nonpreemptive * Common.stats
 
-(** Deadline-tolerant variant; see {!Splittable_ptas.solve_anytime}. *)
+(** See {!Common.solve_anytime}. *)
 val solve_anytime : Common.param -> Instance.t -> Schedule.nonpreemptive Common.anytime
 
 (** Feasibility oracle for one guess (exposed for tests). *)
-val oracle :
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
-  Common.param ->
-  Instance.t ->
-  Rat.t ->
-  Schedule.nonpreemptive option
+val oracle : Common.param -> Instance.t -> Rat.t -> Schedule.nonpreemptive option
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 

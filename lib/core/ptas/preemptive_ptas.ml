@@ -1,7 +1,5 @@
 module Q = Rat
 
-type stats = { t_accepted : Q.t; oracle_calls : int; ilp_vars : int; layers : int }
-
 let guarantee (p : Common.param) t =
   let delta = Common.delta p in
   let tbar =
@@ -11,44 +9,19 @@ let guarantee (p : Common.param) t =
   in
   Q.add tbar (Q.add (Q.mul delta t) (Q.mul (Q.mul delta delta) t))
 
-type gjob = { gsize : int; members : int list }
-
-type gclass = { large_jobs : gjob list; small_job : gjob option }
-
-(* Same Lemma 15 grouping as the non-preemptive case. *)
-let group_class ~delta_t jobs =
-  let is_small (_, p) = Q.(Q.of_int p < delta_t) in
-  let smalls, bigs = List.partition is_small jobs in
-  let packets = ref [] in
-  let cur_ids = ref [] and cur_sz = ref 0 in
-  List.iter
-    (fun (id, p) ->
-      cur_ids := id :: !cur_ids;
-      cur_sz := !cur_sz + p;
-      if Q.(Q.of_int !cur_sz >= delta_t) then begin
-        packets := { gsize = !cur_sz; members = !cur_ids } :: !packets;
-        cur_ids := [];
-        cur_sz := 0
-      end)
-    smalls;
-  let leftover = if !cur_sz > 0 then Some { gsize = !cur_sz; members = !cur_ids } else None in
-  let big_gjobs = List.map (fun (id, p) -> { gsize = p; members = [ id ] }) bigs in
-  match (leftover, big_gjobs @ !packets) with
-  | None, [] -> assert false
-  | None, large -> { large_jobs = large; small_job = None }
-  | Some y, [] -> { large_jobs = []; small_job = Some y }
-  | Some y, j :: rest ->
-      { large_jobs = { gsize = j.gsize + y.gsize; members = j.members @ y.members } :: rest;
-        small_job = None }
+(* |L| = floor(Tbar / layer) + 1 with Tbar = (1+3delta)(1+delta^2)T and
+   layers of height delta^2*T *)
+let layers (p : Common.param) =
+  let d = p.Common.d in
+  ((d + 3) * ((d * d) + 1) / d) + 1
 
 type rounded = {
   layer_q : Q.t;  (* delta^2*T, the layer height *)
   layers : int;  (* |L| *)
-  tbar_u1 : int;  (* Tbar in units of delta^2*T/(c*d) *)
   cstar : int;
-  gclasses : gclass array;
+  gclasses : Common.gclass array;
   (* (class id, grouped jobs with their layer demands k_j) *)
-  large : (int * (gjob * int) list) list;
+  large : (int * (Common.gjob * int) list) list;
   smalls_by_size : (int * int list) list;  (* size in delta^2*T/c units *)
 }
 
@@ -56,26 +29,18 @@ let round_instance (p : Common.param) inst t =
   let d = p.Common.d in
   let c = Instance.c inst in
   let layer_q = Q.div t (Q.of_int (d * d)) in
-  (* |L| = floor(Tbar / layer) + 1 with Tbar = (1+3delta)(1+delta^2)T *)
-  let layers = ((d + 3) * (d * d + 1) / d) + 1 in
-  let tbar_u1 = c * (d + 3) * ((d * d) + 1) in
+  let layers = layers p in
   let delta_t = Q.div t (Q.of_int d) in
-  let class_jobs = Instance.class_jobs inst in
-  let gclasses =
-    Array.map
-      (fun ids ->
-        group_class ~delta_t (List.map (fun j -> (j, (Instance.job inst j).Instance.p)) ids))
-      class_jobs
-  in
+  let gclasses = Common.group_classes inst ~delta_t in
   let large = ref [] and smalls = Hashtbl.create 8 in
   Array.iteri
     (fun u gc ->
-      match gc.small_job with
+      match gc.Common.small_job with
       | Some y ->
           let s =
             max 1
               (Bigint.to_int_exn
-                 (Q.ceil (Q.div (Q.of_int y.gsize) (Q.div layer_q (Q.of_int c)))))
+                 (Q.ceil (Q.div (Q.of_int y.Common.gsize) (Q.div layer_q (Q.of_int c)))))
           in
           let prev = Option.value ~default:[] (Hashtbl.find_opt smalls s) in
           Hashtbl.replace smalls s (u :: prev)
@@ -83,138 +48,61 @@ let round_instance (p : Common.param) inst t =
           let jobs =
             List.map
               (fun gj ->
-                let k = Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int gj.gsize) layer_q)) in
+                let k = Bigint.to_int_exn (Q.ceil (Q.div (Q.of_int gj.Common.gsize) layer_q)) in
                 (gj, k))
-              gc.large_jobs
+              gc.Common.large_jobs
           in
           large := (u, jobs) :: !large)
     gclasses;
   {
     layer_q;
     layers;
-    tbar_u1;
     cstar = min (Instance.c inst) layers;
     gclasses;
     large = List.rev !large;
     smalls_by_size = Hashtbl.fold (fun s cls acc -> (s, cls) :: acc) smalls [];
   }
 
-type layout = {
-  nvars : int;
-  x : int array;
-  y : (int * int, int) Hashtbl.t;  (* (large idx, cardinality) -> var *)
-  w : (int * int, int) Hashtbl.t;
-  configs : int list array;
-  hb_of_config : int array;
-  hb_groups : (int * int) array;  (* (layers used, module count) *)
-}
+(* Configurations are multisets of module cardinalities (layers a class
+   occupies on a machine), at most |L| in all; y variable (li, k) is the
+   number of class li's modules of cardinality k. Space is counted in units
+   u1 = delta^2*T/(c*d): a layer is c*d units, a small class of rounded size
+   s (in delta^2*T/c units) is s*d units, and Tbar is c*(d+3)*(d^2+1)
+   units. *)
+let round (p : Common.param) inst t =
+  let r = round_instance p inst t in
+  let d = p.Common.d and c = Instance.c inst in
+  let cards = List.init r.layers (fun i -> i + 1) in
+  ( r,
+    {
+      Common.parts = cards;
+      capacity = r.layers;
+      cstar = r.cstar;
+      module_parts = Array.of_list (List.concat_map (fun _ -> cards) r.large);
+      large = List.length r.large;
+      smalls = List.map (fun (s, cls) -> (s * d, cls)) r.smalls_by_size;
+      part_space = c * d;
+      tbar = c * (d + 3) * ((d * d) + 1);
+      cap = None;
+    } )
 
-let build_layout rounded =
-  let cards = List.init rounded.layers (fun i -> i + 1) in
-  let configs =
-    Common.multisets ~parts:cards ~max_sum:rounded.layers ~max_count:rounded.cstar ()
-  in
-  let configs = Array.of_list configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb_groups = Array.of_list (List.rev !hb_list) in
-  let next = ref 0 in
-  let fresh () =
-    let v = !next in
-    incr next;
-    v
-  in
-  let x = Array.init (Array.length configs) (fun _ -> fresh ()) in
-  let y = Hashtbl.create 64 in
-  List.iteri
-    (fun li _ -> List.iter (fun k -> Hashtbl.replace y (li, k) (fresh ())) cards)
-    rounded.large;
-  let w = Hashtbl.create 64 in
-  List.iter
-    (fun (s, _) ->
-      Array.iteri (fun hbi _ -> Hashtbl.replace w (s, hbi) (fresh ())) hb_groups)
-    rounded.smalls_by_size;
-  { nvars = !next; x; y; w; configs; hb_of_config; hb_groups }
+let y_var l rounded li k = Common.y_var l ((li * rounded.layers) + k - 1)
 
-(* Space accounting uses units u1 = delta^2*T/(c*d): a layer is c*d units, a
-   small class of rounded size s (in delta^2*T/c units) is s*d units, and
-   Tbar is the integer tbar_u1 = c*(d+3)*(d^2+1). *)
-let build_rows (p : Common.param) inst rounded layout =
-  let d = p.Common.d in
-  let c = Instance.c inst in
-  let m = Instance.m inst in
-  let rows = ref [] in
-  let push r = rows := r :: !rows in
-  push (Common.row_eq (Array.to_list (Array.map (fun v -> (v, 1)) layout.x)) m);
-  (* (1) per cardinality: config slots = chosen modules *)
-  List.iter
-    (fun k ->
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki cfg ->
-          let cnt = List.length (List.filter (( = ) k) cfg) in
-          if cnt > 0 then lhs := (layout.x.(ki), cnt) :: !lhs)
-        layout.configs;
-      List.iteri (fun li _ -> lhs := (Hashtbl.find layout.y (li, k), -1) :: !lhs) rounded.large;
-      push (Common.row_eq !lhs 0))
-    (List.init rounded.layers (fun i -> i + 1));
-  (* (2,3) small-class slots and space per (h,b) group *)
-  Array.iteri
-    (fun hbi (h, b) ->
-      let xs = ref [] in
-      Array.iteri
-        (fun ki v -> if layout.hb_of_config.(ki) = hbi then xs := v :: !xs)
-        layout.x;
-      let slot_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), 1)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, b - c)) !xs
-      in
-      push (Common.row_le slot_row 0);
-      let space_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), s * d)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, (h * c * d) - rounded.tbar_u1)) !xs
-      in
-      push (Common.row_le space_row 0))
-    layout.hb_groups;
-  (* (4) per large class: total layer demand covered by its modules *)
-  List.iteri
+(* (4) per large class: total layer demand covered by its modules *)
+let cover rounded l =
+  List.mapi
     (fun li (_, jobs) ->
       let demand = List.fold_left (fun acc (_, k) -> acc + k) 0 jobs in
-      let lhs =
-        List.init rounded.layers (fun i -> (Hashtbl.find layout.y (li, i + 1), i + 1))
-      in
-      push (Common.row_eq lhs demand))
-    rounded.large;
-  (* (5) every small class assigned once *)
-  List.iter
-    (fun (s, cls) ->
-      let lhs =
-        Array.to_list
-          (Array.mapi (fun hbi _ -> (Hashtbl.find layout.w (s, hbi), 1)) layout.hb_groups)
-      in
-      push (Common.row_eq lhs (List.length cls)))
-    rounded.smalls_by_size;
-  List.rev !rows
+      Common.row_eq
+        (List.init rounded.layers (fun i -> (y_var l rounded li (i + 1), i + 1)))
+        demand)
+    rounded.large
 
 (* ---------------------------------------------------------------- *)
 (* Realization: symmetric solution -> concrete layer sets -> flow-matched
    job pieces -> preemptive schedule. *)
 
-let construct (p : Common.param) inst rounded layout sol =
-  ignore p;
+let construct inst rounded l sol =
   let m = Instance.m inst in
   let nlayers = rounded.layers in
   let large = Array.of_list rounded.large in
@@ -223,18 +111,10 @@ let construct (p : Common.param) inst rounded layout sol =
   let supply = Array.make_matrix nlarge (nlayers + 1) 0 in
   for li = 0 to nlarge - 1 do
     for k = 1 to nlayers do
-      supply.(li).(k) <- sol.(Hashtbl.find layout.y (li, k))
+      supply.(li).(k) <- sol.(y_var l rounded li k)
     done
   done;
-  (* materialize machines *)
-  let machines = ref [] in
-  Array.iteri
-    (fun ki cfg ->
-      for _ = 1 to sol.(layout.x.(ki)) do
-        machines := (ki, cfg) :: !machines
-      done)
-    layout.configs;
-  let machines = Array.of_list !machines in
+  let machines = Common.machines l sol in
   if Array.length machines <> m then failwith "Preemptive_ptas: machine count mismatch";
   (* assign modules (class, cardinality) to machines and choose layer sets
      greedily, balancing each class's per-layer slot supply *)
@@ -242,10 +122,10 @@ let construct (p : Common.param) inst rounded layout sol =
   (* per machine: list of (class, layer list) *)
   let machine_modules = Array.make (Array.length machines) [] in
   Array.iteri
-    (fun mi (_, cfg) ->
+    (fun mi ki ->
       let used = Array.make nlayers false in
       (* larger modules first: they have the least freedom *)
-      let cfg = List.sort (fun a b -> compare b a) cfg in
+      let cfg = List.sort (fun a b -> compare b a) l.Common.configs.(ki) in
       List.iter
         (fun k ->
           (* pick any class with remaining modules of cardinality k *)
@@ -361,7 +241,7 @@ let construct (p : Common.param) inst rounded layout sol =
             | None -> []
           in
           let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job inst id).Instance.p))
-                               (List.sort compare gj.members)) in
+                               (List.sort compare gj.Common.members)) in
           List.iter
             (fun (mi, l) ->
               let base = Q.mul (Q.of_int l) layer_q in
@@ -387,12 +267,6 @@ let construct (p : Common.param) inst rounded layout sol =
         jobs_arr)
     large;
   (* small classes: round robin within (h,b) groups, filling time gaps *)
-  let group_machines = Array.make (Array.length layout.hb_groups) [] in
-  Array.iteri
-    (fun mi (ki, _) ->
-      let g = layout.hb_of_config.(ki) in
-      group_machines.(g) <- mi :: group_machines.(g))
-    machines;
   (* free intervals per machine: unused layers, then open-ended tail *)
   let machine_used_layers = Array.make m [] in
   Array.iteri
@@ -405,7 +279,7 @@ let construct (p : Common.param) inst rounded layout sol =
     (* also account for smalls already placed on this machine: track via a
        per-machine cursor list of free intervals consumed so far *)
     let members = ref (List.map (fun id -> (id, Q.of_int (Instance.job inst id).Instance.p))
-                         (List.sort compare gj.members)) in
+                         (List.sort compare gj.Common.members)) in
     (* existing small pieces on this machine beyond the layer grid *)
     let existing = !(sched.(mi)) in
     (* compute free intervals: within layers not used by large modules and
@@ -459,126 +333,37 @@ let construct (p : Common.param) inst rounded layout sol =
       end
     done
   in
-  let smalls_remaining = List.map (fun (s, cls) -> (s, ref cls)) rounded.smalls_by_size in
-  Array.iteri
-    (fun hbi _ ->
-      let chosen = ref [] in
-      List.iter
-        (fun (s, remaining) ->
-          let v = sol.(Hashtbl.find layout.w (s, hbi)) in
-          for _ = 1 to v do
-            match !remaining with
-            | u :: rest ->
-                remaining := rest;
-                chosen := (s, u) :: !chosen
-            | [] -> failwith "Preemptive_ptas: small class accounting mismatch"
-          done)
-        smalls_remaining;
-      let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !chosen in
-      if sorted <> [] then begin
-        let arr = Array.of_list (List.rev group_machines.(hbi)) in
-        let count = Array.length arr in
-        if count = 0 then failwith "Preemptive_ptas: empty group with small classes";
-        List.iteri
-          (fun i (_, u) ->
-            match rounded.gclasses.(u).small_job with
-            | Some gj -> place_small arr.(i mod count) gj
-            | None -> assert false)
-          sorted
-      end)
-    layout.hb_groups;
+  Common.place_smalls l sol ~group:(Common.group_machines l machines) (fun mi u ->
+      match rounded.gclasses.(u).Common.small_job with
+      | Some gj -> place_small mi gj
+      | None -> assert false);
   Array.map (fun r -> List.rev !r) sched
 
-let oracle ?warm ?basis_out (p : Common.param) inst t =
-  if Q.(Q.of_int (Instance.pmax inst) > t) then None
-  else
-    Ccs_obs.Span.with_ "preemptive.oracle"
-      ~fields:[ Ccs_obs.Log.str "t" (Q.to_string t) ]
-    @@ fun () ->
-    let rounded = Ccs_obs.Span.with_ "ptas.round" (fun () -> round_instance p inst t) in
-    let layout = Ccs_obs.Span.with_ "ptas.layout" (fun () -> build_layout rounded) in
-    Common.observe_rounding
-      ~large:(List.length rounded.large)
-      ~small_groups:(List.length rounded.smalls_by_size)
-      ~configs:(Array.length layout.configs);
-    let rows = build_rows p inst rounded layout in
-    let upper = Array.make layout.nvars None in
-    match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
-    | None -> None
-    | Some sol ->
-        let sched =
-          Ccs_obs.Span.with_ "ptas.construct" (fun () -> construct p inst rounded layout sol)
-        in
-        (match Schedule.validate_preemptive inst sched with
-        | Ok _ -> Some sched
-        | Error e -> failwith ("Preemptive_ptas: constructed invalid schedule: " ^ e))
-
-let solve ?progress p inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Preemptive_ptas.solve: C > c*m, no schedule exists";
-  let n = Instance.n inst in
-  if Instance.m inst >= n then
+let regime =
+  {
+    Common.name = "preemptive";
+    whole_jobs = true;
+    bounds =
+      (fun inst ->
+        (* the preemptive 2-approximation provides an achievable upper bound *)
+        let approx_sched, _ = Approx.Preemptive.solve inst in
+        (Bounds.lb_preemptive inst, Schedule.preemptive_makespan approx_sched));
     (* one job per machine is an optimal preemptive schedule *)
-    ( Array.init n (fun j ->
-          [ { Schedule.pjob = j; start = Q.zero; len = Q.of_int (Instance.job inst j).Instance.p } ]),
-      { t_accepted = Q.of_int (Instance.pmax inst); oracle_calls = 0; ilp_vars = 0; layers = 0 } )
-  else
-    Ccs_obs.Recorder.phase "ptas"
-    @@ fun () ->
-    Ccs_obs.Span.with_ "preemptive.solve"
-      ~fields:
-        [ Ccs_obs.Log.int "n" n;
-          Ccs_obs.Log.int "m" (Instance.m inst);
-          Ccs_obs.Log.int "c" (Instance.c inst);
-          Ccs_obs.Log.int "d" p.Common.d ]
-    @@ fun () ->
-    (* probes run on pool domains, so the call counter must be atomic *)
-    let calls = Atomic.make 0 in
-    (* set-once warm reference basis; see Splittable_ptas.solve *)
-    let warm_ref = Atomic.make None in
-    let orc t =
-      Atomic.incr calls;
-      let bout = ref None in
-      let r = oracle ?warm:(Atomic.get warm_ref) ~basis_out:bout p inst t in
-      (match (Atomic.get warm_ref, !bout) with
-      | None, Some b -> ignore (Atomic.compare_and_set warm_ref None (Some b))
-      | _ -> ());
-      r
-    in
-    let lb = Bounds.lb_preemptive inst in
-    (* the preemptive 2-approximation provides an achievable upper bound *)
-    let approx_sched, _ = Approx.Preemptive.solve inst in
-    let approx_mk = Schedule.preemptive_makespan approx_sched in
-    let ub = Q.max lb approx_mk in
-    let sched, t_accepted =
-      Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
-    in
-    let rounded = round_instance p inst t_accepted in
-    let layout = build_layout rounded in
-    Ccs_obs.Log.info (fun log ->
-        log
-          ~fields:
-            [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-              Ccs_obs.Log.int "oracle_calls" (Atomic.get calls);
-              Ccs_obs.Log.int "ilp_vars" layout.nvars ]
-          "preemptive.solve: accepted");
-    ( sched,
-      {
-        t_accepted;
-        oracle_calls = (Atomic.get calls);
-        ilp_vars = layout.nvars;
-        layers = rounded.layers;
-      } )
+    one_per_machine =
+      Some
+        (fun inst ->
+          Array.init (Instance.n inst) (fun j ->
+              [ { Schedule.pjob = j;
+                  start = Q.zero;
+                  len = Q.of_int (Instance.job inst j).Instance.p } ]));
+    round;
+    cover;
+    construct;
+    validate =
+      (fun inst sched -> Result.map ignore (Schedule.validate_preemptive inst sched));
+    guarantee;
+  }
 
-(* Anytime entry; see Splittable_ptas.solve_anytime. *)
-let solve_anytime p inst =
-  let prog = Common.progress () in
-  match solve ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }
+let solve p inst = Common.solve regime p inst
+let solve_anytime p inst = Common.solve_anytime regime p inst
+let oracle p inst t = Common.oracle regime p inst t

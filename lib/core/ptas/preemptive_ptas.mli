@@ -27,31 +27,19 @@
     DESIGN.md discusses why the symmetrization preserves the algorithm's
     guarantees. *)
 
-type stats = {
-  t_accepted : Rat.t;
-  oracle_calls : int;
-  ilp_vars : int;
-  layers : int;  (** |L| at the accepted guess *)
-}
+(** |L|, the number of layers of height delta^2*T below
+    Tbar = (1+3delta)(1+delta^2)T. *)
+val layers : Common.param -> int
 
 (** Makespan guarantee at accepted guess T:
     (1+3delta)(1+delta^2)T + delta^2*T + delta*T. *)
 val guarantee : Common.param -> Rat.t -> Rat.t
 
-val solve :
-  ?progress:Schedule.preemptive Common.progress ->
-  Common.param ->
-  Instance.t ->
-  Schedule.preemptive * stats
+(** The full PTAS; see {!Common.solve}. *)
+val solve : Common.param -> Instance.t -> Schedule.preemptive * Common.stats
 
-(** Deadline-tolerant variant; see {!Splittable_ptas.solve_anytime}. *)
+(** See {!Common.solve_anytime}. *)
 val solve_anytime : Common.param -> Instance.t -> Schedule.preemptive Common.anytime
 
 (** Feasibility oracle for one guess (exposed for tests). *)
-val oracle :
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
-  Common.param ->
-  Instance.t ->
-  Rat.t ->
-  Schedule.preemptive option
+val oracle : Common.param -> Instance.t -> Rat.t -> Schedule.preemptive option

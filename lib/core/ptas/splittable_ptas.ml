@@ -1,11 +1,13 @@
 module Q = Rat
 
-type stats = {
-  t_accepted : Q.t;
-  oracle_calls : int;
-  compressed : bool;
-  ilp_vars : int;
-}
+(* Beyond this many machines the Theorem 11 machinery is used: the
+   configuration ILP gets the cardinality cap and the output uses compressed
+   blocks. *)
+let explicit_limit = 4096
+
+(* Tbar + delta*T = (1 + 5 delta) T *)
+let guarantee (p : Common.param) t =
+  Q.mul (Q.add Q.one (Q.mul (Q.of_int 5) (Common.delta p))) t
 
 (* All sizes below live in "base units" of delta^2*T/c, so every quantity in
    the ILP is an integer: modules have size l*c for l in [d, d(d+4)], the
@@ -14,6 +16,7 @@ type stats = {
 type rounded = {
   unit_q : Q.t;  (* delta^2*T/c as a rational *)
   tbar : int;  (* Tbar in base units *)
+  cstar : int;  (* parts per configuration *)
   module_sizes : int list;  (* descending, base units *)
   large : (int * int) list;  (* (class, rounded size in base units) *)
   smalls_by_size : (int * int list) list;  (* (rounded size, class ids) *)
@@ -46,129 +49,44 @@ let round_instance (p : Common.param) inst t =
   {
     unit_q;
     tbar;
+    cstar = min (d + 4) c;
     module_sizes;
     large = List.rev !large;
     smalls_by_size = Hashtbl.fold (fun s cls acc -> (s, cls) :: acc) smalls [];
   }
 
-(* Configurations: multisets of module sizes, total <= tbar, count <= c*. *)
-let configurations (p : Common.param) inst rounded =
-  let cstar = min (p.Common.d + 4) (Instance.c inst) in
-  Common.multisets ~parts:rounded.module_sizes ~max_sum:rounded.tbar ~max_count:cstar ()
+(* Configurations are multisets of module sizes, total <= tbar, count <=
+   c*; y variable (li, q) is the number of modules of size q class li is cut
+   into. *)
+let round p inst t =
+  let r = round_instance p inst t in
+  let nclasses = Instance.num_classes inst in
+  ( r,
+    {
+      Common.parts = r.module_sizes;
+      capacity = r.tbar;
+      cstar = r.cstar;
+      module_parts = Array.of_list (List.concat_map (fun _ -> r.module_sizes) r.large);
+      large = List.length r.large;
+      smalls = r.smalls_by_size;
+      part_space = 1;
+      tbar = r.tbar;
+      cap =
+        (if Instance.m inst > explicit_limit then
+           Some ((nclasses * (nclasses - 1) / 2) + nclasses)
+         else None);
+    } )
 
-type ilp_layout = {
-  nvars : int;
-  x : int array;  (* config index -> var *)
-  y : (int * int, int) Hashtbl.t;  (* (large idx, module size) -> var *)
-  w : (int * int, int) Hashtbl.t;  (* (small size, hb index) -> var *)
-  configs : int list array;
-  hb_of_config : int array;  (* config -> hb group index *)
-  hb_groups : (int * int) array;  (* hb index -> (h, b) *)
-}
+let y_var l rounded li qi = Common.y_var l ((li * List.length rounded.module_sizes) + qi)
 
-let build_layout rounded configs =
-  let configs = Array.of_list configs in
-  let nconfigs = Array.length configs in
-  let hb_tbl = Hashtbl.create 16 in
-  let hb_list = ref [] in
-  let hb_of_config =
-    Array.map
-      (fun k ->
-        let h = List.fold_left ( + ) 0 k and b = List.length k in
-        match Hashtbl.find_opt hb_tbl (h, b) with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length hb_tbl in
-            Hashtbl.replace hb_tbl (h, b) i;
-            hb_list := (h, b) :: !hb_list;
-            i)
-      configs
-  in
-  let hb_groups = Array.of_list (List.rev !hb_list) in
-  let next = ref 0 in
-  let fresh () =
-    let v = !next in
-    incr next;
-    v
-  in
-  let x = Array.init nconfigs (fun _ -> fresh ()) in
-  let y = Hashtbl.create 64 in
-  List.iteri
-    (fun li _ -> List.iter (fun q -> Hashtbl.replace y (li, q) (fresh ())) rounded.module_sizes)
-    rounded.large;
-  let w = Hashtbl.create 64 in
-  List.iter
-    (fun (s, _) ->
-      Array.iteri (fun hbi _ -> Hashtbl.replace w (s, hbi) (fresh ())) hb_groups)
-    rounded.smalls_by_size;
-  { nvars = !next; x; y; w; configs; hb_of_config; hb_groups }
-
-let build_rows inst rounded layout ~cardinality_cap =
-  let c = Instance.c inst in
-  let m = Instance.m inst in
-  let rows = ref [] in
-  let push r = rows := r :: !rows in
-  (* (0) sum x_K = m *)
-  push (Common.row_eq (Array.to_list (Array.map (fun v -> (v, 1)) layout.x)) m);
-  (* (1) per module size: slots provided = modules chosen *)
-  List.iter
-    (fun q ->
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki k ->
-          let cnt = List.length (List.filter (( = ) q) k) in
-          if cnt > 0 then lhs := (layout.x.(ki), cnt) :: !lhs)
-        layout.configs;
-      List.iteri
-        (fun li _ -> lhs := (Hashtbl.find layout.y (li, q), -1) :: !lhs)
-        rounded.large;
-      push (Common.row_eq !lhs 0))
-    rounded.module_sizes;
-  (* (2,3) per (h,b) group: slots and space for the small classes *)
-  Array.iteri
-    (fun hbi (h, b) ->
-      let xs =
-        Array.to_list
-          (Array.mapi (fun ki v -> (ki, v)) layout.x)
-        |> List.filter (fun (ki, _) -> layout.hb_of_config.(ki) = hbi)
-        |> List.map snd
-      in
-      let slot_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), 1)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, b - c)) xs
-      in
-      push (Common.row_le slot_row 0);
-      let space_row =
-        List.map (fun (s, _) -> (Hashtbl.find layout.w (s, hbi), s)) rounded.smalls_by_size
-        @ List.map (fun v -> (v, h - rounded.tbar)) xs
-      in
-      push (Common.row_le space_row 0))
-    layout.hb_groups;
-  (* (4) each large class exactly covered by its modules *)
-  List.iteri
+(* (4) each large class exactly covered by its modules *)
+let cover rounded l =
+  List.mapi
     (fun li (_, size) ->
-      let lhs = List.map (fun q -> (Hashtbl.find layout.y (li, q), q)) rounded.module_sizes in
-      push (Common.row_eq lhs size))
-    rounded.large;
-  (* (5) every small class assigned exactly once (grouped by size) *)
-  List.iter
-    (fun (s, cls) ->
-      let lhs =
-        Array.to_list (Array.mapi (fun hbi _ -> (Hashtbl.find layout.w (s, hbi), 1)) layout.hb_groups)
-      in
-      push (Common.row_eq lhs (List.length cls)))
-    rounded.smalls_by_size;
-  (* Theorem 11: bound the non-trivial configurations *)
-  (match cardinality_cap with
-  | None -> ()
-  | Some cap ->
-      let qmax = List.hd rounded.module_sizes in
-      let lhs = ref [] in
-      Array.iteri
-        (fun ki k -> if k <> [] && k <> [ qmax ] then lhs := (layout.x.(ki), 1) :: !lhs)
-        layout.configs;
-      if !lhs <> [] then push (Common.row_le !lhs cap));
-  List.rev !rows
+      Common.row_eq
+        (List.mapi (fun qi q -> (y_var l rounded li qi, q)) rounded.module_sizes)
+        size)
+    rounded.large
 
 (* ---------------------------------------------------------------- *)
 (* Schedule construction from an ILP witness. *)
@@ -183,18 +101,18 @@ let pop_module supply q =
       li
   | _ -> failwith "Splittable_ptas: module supply exhausted (ILP inconsistency)"
 
-let construct inst rounded layout sol ~explicit_limit =
+let construct inst rounded l sol =
   let m = Instance.m inst in
   let large = Array.of_list rounded.large in
   let qmax = List.hd rounded.module_sizes in
   (* module supply per size from the y variables *)
   let supply = Hashtbl.create 16 in
-  List.iter
-    (fun q ->
+  List.iteri
+    (fun qi q ->
       let entries = ref [] in
       Array.iteri
         (fun li _ ->
-          let v = sol.(Hashtbl.find layout.y (li, q)) in
+          let v = sol.(y_var l rounded li qi) in
           if v > 0 then entries := (li, v) :: !entries)
         large;
       Hashtbl.replace supply q !entries)
@@ -205,14 +123,14 @@ let construct inst rounded layout sol ~explicit_limit =
   let explicit_cfgs = ref [] in
   Array.iteri
     (fun ki k ->
-      let count = sol.(layout.x.(ki)) in
+      let count = sol.(ki) in
       if count > 0 && k <> [] then
         if k = [ qmax ] && count > explicit_limit then full_config_count := count
         else
           for _ = 1 to count do
             explicit_cfgs := (ki, k) :: !explicit_cfgs
           done)
-    layout.configs;
+    l.Common.configs;
   let explicit_cfgs = Array.of_list !explicit_cfgs in
   if Array.length explicit_cfgs > explicit_limit then
     failwith "Splittable_ptas: explicit machine bound exceeded";
@@ -247,75 +165,30 @@ let construct inst rounded layout sol ~explicit_limit =
     supply;
   (* ---- small classes: round robin inside each (h,b) machine group ---- *)
   (* group -> machines (explicit ids; the full-block range forms one group) *)
-  let group_machines = Array.make (Array.length layout.hb_groups) [] in
-  Array.iteri
-    (fun mi (ki, _) ->
-      let g = layout.hb_of_config.(ki) in
-      group_machines.(g) <- mi :: group_machines.(g))
-    explicit_cfgs;
-  let full_group =
-    if !full_config_count > 0 then begin
-      (* locate the (qmax, 1) group *)
-      let g = ref (-1) in
-      Array.iteri (fun i (h, b) -> if h = qmax && b = 1 then g := i) layout.hb_groups;
-      !g
-    end
-    else -1
-  in
-  (* empty machines form the (0,0) group *)
-  let empty_group =
+  let explicit_group = Common.group_machines l (Array.map fst explicit_cfgs) in
+  let find_group hb =
     let g = ref (-1) in
-    Array.iteri (fun i (h, b) -> if h = 0 && b = 0 then g := i) layout.hb_groups;
+    Array.iteri (fun i hb' -> if hb' = hb then g := i) l.Common.hb_groups;
     !g
   in
+  let full_group = if !full_config_count > 0 then find_group (qmax, 1) else -1 in
+  (* empty machines form the (0,0) group *)
+  let empty_group = find_group (0, 0) in
   let empty_start = !cursor in
   let small_extra : (int, (int * Q.t) list) Hashtbl.t = Hashtbl.create 16 in
   let add_small machine cls load =
     let prev = Option.value ~default:[] (Hashtbl.find_opt small_extra machine) in
     Hashtbl.replace small_extra machine ((cls, load) :: prev)
   in
-  let smalls_remaining =
-    List.map (fun (s, cls) -> (s, ref cls)) rounded.smalls_by_size
+  let group hbi =
+    if hbi = full_group then (!full_config_count, fun i -> n_explicit + i)
+    else if hbi = empty_group then (m - empty_start, fun i -> empty_start + i)
+    else explicit_group hbi
   in
-  Array.iteri
-    (fun hbi _ ->
-      (* collect the small classes routed to this group, largest first *)
-      let classes = ref [] in
-      List.iter
-        (fun (s, remaining) ->
-          let v = sol.(Hashtbl.find layout.w (s, hbi)) in
-          for _ = 1 to v do
-            match !remaining with
-            | cls :: rest ->
-                remaining := rest;
-                classes := (s, cls) :: !classes
-            | [] -> failwith "Splittable_ptas: small class accounting mismatch"
-          done)
-        smalls_remaining;
-      let sorted = List.sort (fun (a, _) (b, _) -> compare b a) !classes in
-      if sorted <> [] then begin
-        let machines =
-          if hbi = full_group && !full_config_count > 0 then
-            `Range (n_explicit, !full_config_count)
-          else if hbi = empty_group then `Range (empty_start, m - empty_start)
-          else `List (Array.of_list (List.rev group_machines.(hbi)))
-        in
-        List.iteri
-          (fun i (_, cls) ->
-            let load = Q.of_int (Instance.class_load inst).(cls) in
-            match machines with
-            | `Range (start, count) ->
-                if count = 0 then failwith "Splittable_ptas: empty group with small classes";
-                add_small (start + (i mod count)) cls load
-            | `List arr ->
-                let count = Array.length arr in
-                if count = 0 then failwith "Splittable_ptas: empty group with small classes";
-                add_small arr.(i mod count) cls load)
-          sorted
-      end)
-    layout.hb_groups;
-  (* ---- shrink rounded large loads back to the original sizes ---- *)
   let class_load = Instance.class_load inst in
+  Common.place_smalls l sol ~group (fun machine cls ->
+      add_small machine cls (Q.of_int class_load.(cls)));
+  (* ---- shrink rounded large loads back to the original sizes ---- *)
   let remaining = Array.map (fun (u, _) -> Q.of_int class_load.(u)) large in
   let explicit_loads = Array.make n_explicit [] in
   Array.iteri
@@ -380,103 +253,20 @@ let construct inst rounded layout sol ~explicit_limit =
   in
   { Schedule.blocks = List.rev !blocks; explicit_machines }
 
-(* ---------------------------------------------------------------- *)
+let regime =
+  {
+    Common.name = "splittable";
+    whole_jobs = false;
+    bounds = (fun inst -> (Bounds.lb_splittable inst, Bounds.ub_splittable inst));
+    one_per_machine = None;
+    round;
+    cover;
+    construct;
+    validate =
+      (fun inst sched -> Result.map ignore (Schedule.validate_splittable inst sched));
+    guarantee;
+  }
 
-let oracle ?(explicit_limit = 4096) ?warm ?basis_out (p : Common.param) inst t =
-  Ccs_obs.Span.with_ "splittable.oracle"
-    ~fields:[ Ccs_obs.Log.str "t" (Q.to_string t) ]
-  @@ fun () ->
-  let rounded, configs =
-    Ccs_obs.Span.with_ "ptas.round" (fun () ->
-        let rounded = round_instance p inst t in
-        (rounded, configurations p inst rounded))
-  in
-  let layout = Ccs_obs.Span.with_ "ptas.layout" (fun () -> build_layout rounded configs) in
-  Common.observe_rounding
-    ~large:(List.length rounded.large)
-    ~small_groups:(List.length rounded.smalls_by_size)
-    ~configs:(List.length configs);
-  let nclasses = Instance.num_classes inst in
-  let cardinality_cap =
-    if Instance.m inst > explicit_limit then Some ((nclasses * (nclasses - 1) / 2) + nclasses)
-    else None
-  in
-  let rows = build_rows inst rounded layout ~cardinality_cap in
-  let upper = Array.make layout.nvars None in
-  match Common.solve_int_feasibility ?warm ?basis_out ~nvars:layout.nvars ~upper rows with
-  | None -> None
-  | Some sol ->
-      let sched =
-        Ccs_obs.Span.with_ "ptas.construct" (fun () ->
-            construct inst rounded layout sol ~explicit_limit)
-      in
-      (match Schedule.validate_splittable inst sched with
-      | Ok _ -> Some sched
-      | Error e -> failwith ("Splittable_ptas: constructed invalid schedule: " ^ e))
-
-let solve ?(explicit_limit = 4096) ?progress p inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Splittable_ptas.solve: C > c*m, no schedule exists";
-  Ccs_obs.Recorder.phase "ptas"
-  @@ fun () ->
-  Ccs_obs.Span.with_ "splittable.solve"
-    ~fields:
-      [ Ccs_obs.Log.int "n" (Instance.n inst);
-        Ccs_obs.Log.int "m" (Instance.m inst);
-        Ccs_obs.Log.int "c" (Instance.c inst);
-        Ccs_obs.Log.int "d" p.Common.d ]
-  @@ fun () ->
-  (* probes run on pool domains, so the call counter must be atomic *)
-  let calls = Atomic.make 0 in
-  let last_vars = ref 0 in
-  (* Warm-start reference basis, set exactly once by the sequential upper
-     bound probe that [geometric_search] makes before fanning out: every
-     later probe (at any --jobs) then reads the same basis, so the oracle
-     stays a pure function of the guess and runs stay bit-identical. *)
-  let warm_ref = Atomic.make None in
-  let orc t =
-    Atomic.incr calls;
-    let bout = ref None in
-    let r = oracle ~explicit_limit ?warm:(Atomic.get warm_ref) ~basis_out:bout p inst t in
-    (match (Atomic.get warm_ref, !bout) with
-    | None, Some b -> ignore (Atomic.compare_and_set warm_ref None (Some b))
-    | _ -> ());
-    r
-  in
-  let lb = Bounds.lb_splittable inst in
-  let ub = Q.max lb (Bounds.ub_splittable inst) in
-  let sched, t_accepted =
-    Common.geometric_search ?progress ~lb ~ub ~delta:(Common.delta p) ~oracle:orc ()
-  in
-  (let rounded = round_instance p inst t_accepted in
-   let layout = build_layout rounded (configurations p inst rounded) in
-   last_vars := layout.nvars);
-  Ccs_obs.Log.info (fun log ->
-      log
-        ~fields:
-          [ Ccs_obs.Log.str "t_accepted" (Q.to_string t_accepted);
-            Ccs_obs.Log.int "oracle_calls" (Atomic.get calls);
-            Ccs_obs.Log.int "ilp_vars" !last_vars ]
-        "splittable.solve: accepted");
-  ( sched,
-    {
-      t_accepted;
-      oracle_calls = (Atomic.get calls);
-      compressed = Instance.m inst > explicit_limit;
-      ilp_vars = !last_vars;
-    } )
-
-(* Anytime entry: run the full PTAS, but on cancellation salvage the best
-   accepted witness (already a validated schedule) and the highest refuted
-   guess from the search's progress record instead of losing the run. *)
-let solve_anytime ?explicit_limit p inst =
-  let prog = Common.progress () in
-  match solve ?explicit_limit ~progress:prog p inst with
-  | sched, stats ->
-      { Common.result = Some (sched, stats.t_accepted);
-        refuted = prog.Common.rejected;
-        complete = true }
-  | exception Ccs_resil.Deadline.Cancelled _ ->
-      { Common.result = prog.Common.accepted;
-        refuted = prog.Common.rejected;
-        complete = false }
+let solve p inst = Common.solve regime p inst
+let solve_anytime p inst = Common.solve_anytime regime p inst
+let oracle p inst t = Common.oracle regime p inst t

@@ -16,60 +16,41 @@
     per-class duplication exists only to expose N-fold structure and "has no
     meaning itself"); small classes of equal rounded size are interchangeable
     and therefore counted rather than enumerated. The duplicated N-fold form
-    is available from {!Nfold_forms} for cross-validation.
+    is available from {!Nfold_form} for cross-validation.
 
-    When [m] exceeds [explicit_limit] the Theorem 11 machinery kicks in
+    When [m] exceeds {!explicit_limit} the Theorem 11 machinery kicks in
     automatically: only the two trivial configurations (empty, and one
     full-size module) may be used more than (C choose 2) + C times — an
     extra globally-uniform constraint — and the output uses compressed
     {!Schedule.block}s, keeping the whole run polynomial in n with only a
     logarithmic dependence on m. *)
 
-type stats = {
-  t_accepted : Rat.t;  (** accepted guess; makespan <= (1+5 delta) t_accepted *)
-  oracle_calls : int;
-  compressed : bool;  (** Theorem 11 path taken *)
-  ilp_vars : int;  (** variables in the last accepted configuration ILP *)
-}
+(** Machine count beyond which the Theorem 11 path is taken (4096). *)
+val explicit_limit : int
 
-(** [solve param inst] runs the full PTAS (binary search + oracle). The
-    returned schedule is already validated against the original instance.
-    Raises [Invalid_argument] on unschedulable instances and
-    [Common.Too_many] if the configuration space for this delta explodes. *)
-val solve :
-  ?explicit_limit:int ->
-  ?progress:Schedule.splittable Common.progress ->
-  Common.param ->
-  Instance.t ->
-  Schedule.splittable * stats
+(** Makespan guarantee for a schedule accepted at guess T:
+    Tbar + delta*T = (1+5delta)T. *)
+val guarantee : Common.param -> Rat.t -> Rat.t
 
-(** Deadline-tolerant variant: never raises
-    {!Ccs_resil.Deadline.Cancelled}; on cancellation the best accepted
-    witness so far (if any) and the highest refuted guess are returned with
-    [complete = false]. *)
-val solve_anytime :
-  ?explicit_limit:int -> Common.param -> Instance.t -> Schedule.splittable Common.anytime
+(** The full PTAS; see {!Common.solve}. *)
+val solve : Common.param -> Instance.t -> Schedule.splittable * Common.stats
+
+(** See {!Common.solve_anytime}. *)
+val solve_anytime : Common.param -> Instance.t -> Schedule.splittable Common.anytime
 
 (** The feasibility oracle for one guess (exposed for tests): [None] means
     provably no schedule with makespan T exists. *)
-val oracle :
-  ?explicit_limit:int ->
-  ?warm:Lp.basis ->
-  ?basis_out:Lp.basis option ref ->
-  Common.param ->
-  Instance.t ->
-  Rat.t ->
-  Schedule.splittable option
+val oracle : Common.param -> Instance.t -> Rat.t -> Schedule.splittable option
 
 (** {2 Internals exposed for the N-fold form ({!Nfold_form}) and tests} *)
 
 type rounded = {
   unit_q : Rat.t;  (** delta^2*T/c *)
   tbar : int;  (** Tbar in base units *)
+  cstar : int;  (** parts per configuration: min(1/delta + 4, c) *)
   module_sizes : int list;  (** descending, base units *)
   large : (int * int) list;  (** (class, rounded size in base units) *)
   smalls_by_size : (int * int list) list;  (** (rounded size, class ids) *)
 }
 
 val round_instance : Common.param -> Instance.t -> Rat.t -> rounded
-val configurations : Common.param -> Instance.t -> rounded -> int list list

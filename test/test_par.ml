@@ -172,8 +172,8 @@ let test_ptas_identical_across_jobs () =
         sched1 sched4;
       Alcotest.(check string)
         (Printf.sprintf "accepted guess identical (seed %d)" seed)
-        (Rat.to_string stats1.Ccs.Ptas.Nonpreemptive_ptas.t_accepted)
-        (Rat.to_string stats4.Ccs.Ptas.Nonpreemptive_ptas.t_accepted))
+        (Rat.to_string stats1.Ccs.Ptas.Common.t_accepted)
+        (Rat.to_string stats4.Ccs.Ptas.Common.t_accepted))
     [ 101; 202; 303 ]
 
 let test_multisets_identical_across_jobs () =

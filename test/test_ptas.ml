@@ -29,11 +29,6 @@ let random_instance ?(max_n = 12) ?(max_m = 3) ?(max_p = 30) seed =
 
 let p2 = C.param 2
 
-(* splittable guarantee: Tbar + delta*T = (1 + 5 delta) T *)
-let splittable_guarantee p t =
-  let delta = C.delta p in
-  Q.mul (Q.add Q.one (Q.mul (Q.of_int 5) delta)) t
-
 (* ---------- splittable PTAS ---------- *)
 
 let prop_splittable_ptas_valid =
@@ -44,8 +39,8 @@ let prop_splittable_ptas_valid =
       match S.validate_splittable inst sched with
       | Error e -> QCheck.Test.fail_reportf "invalid: %s" e
       | Ok makespan ->
-          let t_accepted = stats.Ccs.Ptas.Splittable_ptas.t_accepted in
-          Q.(makespan <= splittable_guarantee p2 t_accepted))
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
+          Q.(makespan <= Ccs.Ptas.Splittable_ptas.guarantee p2 t_accepted))
 
 let prop_splittable_ptas_vs_exact =
   QCheck.Test.make ~name:"Thm 10: accepted T within (1+delta) of exact opt" ~count:8
@@ -57,7 +52,7 @@ let prop_splittable_ptas_vs_exact =
           let _, stats = Ccs.Ptas.Splittable_ptas.solve p2 inst in
           (* completeness: the search cannot overshoot the optimum by more
              than one geometric grid step *)
-          let t_accepted = stats.Ccs.Ptas.Splittable_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Q.(t_accepted <= Q.mul (Q.add Q.one (C.delta p2)) opt))
 
 let test_splittable_ptas_huge_m () =
@@ -65,12 +60,12 @@ let test_splittable_ptas_huge_m () =
     I.make ~machines:1_000_000_000_000 ~slots:1 [ (500, 0); (499, 1); (498, 2); (3, 0) ]
   in
   let sched, stats = Ccs.Ptas.Splittable_ptas.solve p2 inst in
-  Alcotest.(check bool) "compressed" true stats.Ccs.Ptas.Splittable_ptas.compressed;
+  Alcotest.(check bool) "compressed into blocks" true (sched.S.blocks <> []);
   match S.validate_splittable inst sched with
   | Ok makespan ->
-      let t_accepted = stats.Ccs.Ptas.Splittable_ptas.t_accepted in
+      let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
       Alcotest.(check bool) "guarantee" true
-        Q.(makespan <= splittable_guarantee p2 t_accepted)
+        Q.(makespan <= Ccs.Ptas.Splittable_ptas.guarantee p2 t_accepted)
   | Error e -> Alcotest.fail e
 
 let prop_oracle_matches_nfold_form =
@@ -131,7 +126,7 @@ let prop_nonpreemptive_ptas_valid =
       match S.validate_nonpreemptive inst sched with
       | Error e -> QCheck.Test.fail_reportf "invalid: %s" e
       | Ok makespan ->
-          let t_accepted = stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Q.(Q.of_int makespan <= Ccs.Ptas.Nonpreemptive_ptas.guarantee p2 t_accepted))
 
 let prop_nonpreemptive_ptas_vs_exact =
@@ -142,7 +137,7 @@ let prop_nonpreemptive_ptas_vs_exact =
       | None -> QCheck.assume_fail ()
       | Some (opt, _) ->
           let _, stats = Ccs.Ptas.Nonpreemptive_ptas.solve p2 inst in
-          let t_accepted = stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Q.(t_accepted <= Q.mul (Q.add Q.one (C.delta p2)) (Q.of_int opt)))
 
 let test_nonpreemptive_grouping_heavy () =
@@ -164,7 +159,7 @@ let prop_preemptive_ptas_valid =
       match S.validate_preemptive inst sched with
       | Error e -> QCheck.Test.fail_reportf "invalid: %s" e
       | Ok makespan ->
-          let t_accepted = stats.Ccs.Ptas.Preemptive_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Q.(makespan <= Ccs.Ptas.Preemptive_ptas.guarantee p2 t_accepted))
 
 let prop_preemptive_ptas_vs_split_opt =
@@ -176,7 +171,7 @@ let prop_preemptive_ptas_vs_split_opt =
       | None -> QCheck.assume_fail ()
       | Some (np_opt, _) ->
           let _, stats = Ccs.Ptas.Preemptive_ptas.solve p2 inst in
-          let t_accepted = stats.Ccs.Ptas.Preemptive_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Q.(t_accepted <= Q.mul (Q.add Q.one (C.delta p2)) (Q.of_int np_opt)))
 
 let test_preemptive_no_self_parallel_stress () =
@@ -198,7 +193,7 @@ let test_delta_sweep () =
       let sched, stats = Ccs.Ptas.Nonpreemptive_ptas.solve p inst in
       match S.validate_nonpreemptive inst sched with
       | Ok mk ->
-          let t_accepted = stats.Ccs.Ptas.Nonpreemptive_ptas.t_accepted in
+          let t_accepted = stats.Ccs.Ptas.Common.t_accepted in
           Alcotest.(check bool)
             (Printf.sprintf "d=%d within guarantee" d)
             true

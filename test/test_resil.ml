@@ -92,13 +92,25 @@ let test_expired_stops_solvers () =
   Alcotest.(check bool) "nonpreemptive approx" true
     (cancelled (under (fun () -> Ccs.Approx.Nonpreemptive.solve inst)))
 
-(* The anytime PTAS under an expired token: clean partial result. *)
+(* Every regime's anytime PTAS under an expired token: a clean partial
+   result, and any witness it salvaged passes the regime's validator. *)
 let test_ptas_anytime_interrupted () =
-  let a =
-    Deadline.with_token (Deadline.of_budget_ms 0) (fun () ->
-        Ccs.Ptas.Splittable_ptas.solve_anytime param inst)
+  let check name validate solve_anytime =
+    let a =
+      Deadline.with_token (Deadline.of_budget_ms 0) (fun () -> solve_anytime param inst)
+    in
+    Alcotest.(check bool) (name ^ " not complete") false a.Ccs.Ptas.Common.complete;
+    match a.Ccs.Ptas.Common.result with
+    | None -> ()
+    | Some (sched, _) ->
+        Alcotest.(check bool) (name ^ " witness valid") true
+          (Result.is_ok (validate inst sched))
   in
-  Alcotest.(check bool) "not complete" false a.Ccs.Ptas.Common.complete
+  let module S = Ccs.Schedule in
+  let module P = Ccs.Ptas in
+  check "splittable" S.validate_splittable P.Splittable_ptas.solve_anytime;
+  check "preemptive" S.validate_preemptive P.Preemptive_ptas.solve_anytime;
+  check "nonpreemptive" S.validate_nonpreemptive P.Nonpreemptive_ptas.solve_anytime
 
 (* ---------- the At-ordinal sweep ---------- *)
 
