@@ -41,9 +41,11 @@ let compare_runs () =
         cmp.Gate.counter_rows;
       let regressed = Gate.regressions cmp in
       if regressed = [] then
-        Printf.printf "ok: no phase regressed by more than %.0f%%\n" (100.0 *. cmp.Gate.tol)
+        Printf.printf "ok: no phase regressed by more than %.0f%%, no work counter changed\n"
+          (100.0 *. cmp.Gate.tol)
       else begin
-        Printf.printf "FAIL: %d phase(s) regressed by more than %.0f%%: %s\n"
+        Printf.printf
+          "FAIL: %d regressed (phases by more than %.0f%%, counters on any change): %s\n"
           (List.length regressed) (100.0 *. cmp.Gate.tol)
           (String.concat ", " regressed);
         exit 1

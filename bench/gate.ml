@@ -12,7 +12,9 @@
    to first order. A phase regresses when its scaled wall exceeds
    baseline * (1 + tolerance); the tolerance defaults to 0.25 and can be
    widened for noisy runners via CCS_BENCH_TOLERANCE (e.g.
-   CCS_BENCH_TOLERANCE=1.5 on shared CI machines). *)
+   CCS_BENCH_TOLERANCE=1.5 on shared CI machines). The tolerance applies
+   to walls only: work counters are deterministic, so a counter regresses
+   on any change from its baseline value. *)
 
 module J = Ccs_obs.Jsonx
 
@@ -132,7 +134,7 @@ let measure () = List.map (fun (name, f) -> (name, time_phase f)) phases
 
 (* Deterministic solver-effort counters over a fixed PTAS workload. Unlike
    walls these are exact and machine-independent, so they are compared
-   unscaled: lp.phase1_iterations guards the simplex crash-basis/warm-start
+   exactly: lp.phase1_iterations guards the simplex crash-basis/warm-start
    machinery (a cold-start regression shows up here long before it moves a
    noisy wall), and rat.promotions guards the small-int fast path (a single
    careless magnitude blow-up sends the hot numbers to the Bigint arm). *)
@@ -146,11 +148,9 @@ let counter_names =
   @
   (* XL counters are exact and machine-independent too: the token count
      pins the streaming lexer's behavior on a fixed 10^6-job file, the
-     probe count pins the border / binary searches, and the byte gauge
-     pins the flat representation at exactly 16 bytes per job. *)
-  if xl_enabled then
-    [ "io.stream_tokens"; "border_search.probes"; "approx.flat_solves";
-      "xl.flat_bytes" ]
+     probe count pins the border search, and the byte gauge pins the flat
+     representation at exactly 16 bytes per job. *)
+  if xl_enabled then [ "io.stream_tokens"; "border_search.probes"; "xl.flat_bytes" ]
   else []
 
 let m_xl_flat_bytes =
@@ -165,6 +165,12 @@ let measure_counters () =
   ignore (Ccs.Ptas.Splittable_ptas.solve param small);
   ignore (Ccs.Ptas.Nonpreemptive_ptas.solve param small);
   ignore (Ccs_exact.Bnb.solve_result exact_instance);
+  (* the exact checkpoint count guards the cancellation layer's overhead:
+     a new checkpoint in a hot loop moves this long before it moves a wall.
+     It is pushed to the registry before the XL workload runs, so it counts
+     the PTAS and B&B workload alone and one baseline value serves gate
+     runs with and without CCS_BENCH_XL. *)
+  Ccs_resil.Deadline.flush_stats ();
   if xl_enabled then begin
     let fl = Lazy.force xl_instance in
     (match Ccs.Io.of_string_flat (Lazy.force xl_text) with
@@ -174,9 +180,6 @@ let measure_counters () =
     ignore (Ccs.Approx.Nonpreemptive.solve_flat fl);
     Ccs_obs.Metrics.add m_xl_flat_bytes (Ccs.Instance.Flat.mem_bytes fl)
   end;
-  (* the exact checkpoint count guards the cancellation layer's overhead:
-     a new checkpoint in a hot loop moves this long before it moves a wall *)
-  Ccs_resil.Deadline.flush_stats ();
   let snap = Ccs_obs.Metrics.snapshot ~all:true () in
   List.map
     (fun name ->
@@ -312,7 +315,7 @@ let compare_to_baseline ?(path = default_baseline_path) () =
             if List.mem_assoc name current then None else Some name)
           base.walls
       in
-      (* counters are exact: no machine-speed scaling, same relative tolerance *)
+      (* counters are exact: no machine-speed scaling and no tolerance *)
       let counter_rows =
         List.map
           (fun (cname, v) ->
@@ -326,7 +329,7 @@ let compare_to_baseline ?(path = default_baseline_path) () =
                   else float_of_int (v - b) /. float_of_int b
                 in
                 { cname; expected = Some b; current = v; cdelta = Some delta;
-                  cregressed = delta > tolerance })
+                  cregressed = v <> b })
           current_counters
       in
       Ok

@@ -267,7 +267,9 @@ let render_check baseline =
       out "";
       0
   | Ok cmp ->
-      out "Machine speed vs baseline: %.2fx (calibration %.4fs vs %.4fs); tolerance %.0f%%."
+      out
+        "Machine speed vs baseline: %.2fx (calibration %.4fs vs %.4fs); wall tolerance %.0f%%, \
+         work counters exact."
         cmp.Gate.scale cmp.Gate.calibration_s cmp.Gate.base_calibration_s
         (100.0 *. cmp.Gate.tol);
       out "";
@@ -291,7 +293,7 @@ let render_check baseline =
       out "";
       let regressed = Gate.regressions cmp in
       if regressed = [] then begin
-        out "No phase regressed beyond tolerance.";
+        out "No phase regressed beyond tolerance and no work counter changed.";
         out "";
         0
       end

@@ -221,12 +221,11 @@ let solve_anytime_one ~out inst variant algo param deadline_ms quiet ~compress ~
 
 (* Solve one instance, accumulating stdout/stderr text into the buffers.
    Returns the exit code. *)
-let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~format
-    ~compress ~portfolio ~node_limit =
+let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~compress
+    ~portfolio ~node_limit =
   (* Loading always streams into the flat form (text or binary is
-     auto-detected); the record view is rebuilt for the solvers and
-     validators that want it. --format flat routes the 2-approximations
-     through their flat fast paths instead — same bits out either way. *)
+     auto-detected); the 2-approximations run on it directly, and the
+     record view is rebuilt for the other solvers and the validators. *)
   match Ccs.Io.load_flat file with
   | Error e ->
       Printf.bprintf err "error: %s\n" e;
@@ -250,10 +249,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
         else begin
         (match (variant, algo) with
         | Splittable, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Splittable.solve_flat fl
-              else Ccs.Approx.Splittable.solve inst
-            in
+            let sched, stats = Ccs.Approx.Splittable.solve_flat fl in
             let mk = Result.get_ok (Ccs.Schedule.validate_splittable inst sched) in
             Printf.bprintf out "splittable 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Splittable.t_guess);
@@ -300,10 +296,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
                 if not quiet then print_splittable out sched
             | None -> Printf.bprintf out "exact solver out of budget or instance too large\n")
         | Preemptive, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Preemptive.solve_flat fl
-              else Ccs.Approx.Preemptive.solve inst
-            in
+            let sched, stats = Ccs.Approx.Preemptive.solve_flat fl in
             let mk = Result.get_ok (Ccs.Schedule.validate_preemptive inst sched) in
             Printf.bprintf out "preemptive 2-approx: makespan %s (guess T=%s, <= 2T)\n"
               (Q.to_string mk) (Q.to_string stats.Ccs.Approx.Preemptive.t_guess);
@@ -318,10 +311,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
             Printf.bprintf out "no exact preemptive solver (see DESIGN.md); lower bound: %s\n"
               (Q.to_string (Ccs.Bounds.lb_preemptive inst))
         | Nonpreemptive, Approx ->
-            let sched, stats =
-              if format = `Flat then Ccs.Approx.Nonpreemptive.solve_flat fl
-              else Ccs.Approx.Nonpreemptive.solve inst
-            in
+            let sched, stats = Ccs.Approx.Nonpreemptive.solve_flat fl in
             let mk = Result.get_ok (Ccs.Schedule.validate_nonpreemptive inst sched) in
             Printf.bprintf out "non-preemptive 7/3-approx: makespan %d (guess T=%d, <= 7/3 T)\n" mk
               stats.Ccs.Approx.Nonpreemptive.t_guess;
@@ -371,7 +361,7 @@ let solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime ~f
           Printf.bprintf err "error: N-fold node budget exhausted\n";
           1)
 
-let run files variant algo epsilon quiet jobs deadline_ms anytime format compress portfolio
+let run files variant algo epsilon quiet jobs deadline_ms anytime _format compress portfolio
     node_limit obs =
   Obs_cli.with_reporting obs @@ fun () ->
   if jobs < 1 then begin
@@ -388,7 +378,7 @@ let run files variant algo epsilon quiet jobs deadline_ms anytime format compres
           if many then Printf.bprintf out "=== %s ===\n" file;
           let code =
             solve_one ~out ~err file variant algo epsilon quiet ~deadline_ms ~anytime
-              ~format ~compress ~portfolio ~node_limit
+              ~compress ~portfolio ~node_limit
           in
           (out, err, code))
         (Array.of_list files)
@@ -436,11 +426,10 @@ let cmd =
   let format =
     Arg.(value & opt (enum [ ("text", `Text); ("flat", `Flat) ]) `Text
            & info [ "format" ] ~docv:"FMT"
-               ~doc:"Solver pipeline: $(b,text) runs on the boxed record form, \
-                     $(b,flat) runs the 2-approximations directly on the flat \
-                     int-array form (same output bit-for-bit, built for \
-                     million-job instances). Input files are auto-detected \
-                     (text or ccsb1 binary) regardless of $(docv).")
+               ~doc:"Accepted for compatibility and ignored: it no longer selects \
+                     a code path. Input files are auto-detected (text or ccsb1 \
+                     binary), and the 2-approximations always run on the flat \
+                     int-array form.")
   in
   let compress =
     Arg.(value & flag

@@ -1,20 +1,15 @@
 (* Longest Processing Time list scheduling: jobs in non-increasing size
-   order, each placed on the currently least-loaded bin. Used by the
-   non-preemptive 7/3-approximation to split a class into C_u sub-classes
-   (Theorem 6). A simple linear scan for the minimum keeps this O(n k); the
-   instances here have small k = C_u, so no heap is needed. *)
+   order, each placed on the currently least-loaded bin. Splits a class
+   into sub-classes for the heterogeneous extension. A simple linear scan
+   for the minimum keeps this O(n k); the instances here have small k, so
+   no heap is needed. *)
 
 (* [split ~bins jobs] takes (job, size) pairs, returns an array of bins,
-   each a (reversed placement order) list of (job, size), plus bin loads.
-   [~sorted:false] drops the "longest first" ordering (list scheduling in
-   input order) — the A3 ablation knob; everything else is unchanged. *)
-let split ?(sorted = true) ~bins jobs =
+   each a (reversed placement order) list of (job, size), plus bin loads. *)
+let split ~bins jobs =
   if bins <= 0 then invalid_arg "Lpt.split";
   let content = Array.make bins [] in
   let load = Array.make bins 0 in
-  let sorted =
-    if sorted then List.stable_sort (fun (_, a) (_, b) -> compare b a) jobs else jobs
-  in
   List.iter
     (fun (j, p) ->
       let best = ref 0 in
@@ -23,5 +18,5 @@ let split ?(sorted = true) ~bins jobs =
       done;
       content.(!best) <- (j, p) :: content.(!best);
       load.(!best) <- load.(!best) + p)
-    sorted;
+    (List.stable_sort (fun (_, a) (_, b) -> compare b a) jobs);
   (content, load)

@@ -29,92 +29,22 @@ let cu_area_only ~t jobs =
 
 let cu ~t jobs = max (cu_area_only ~t jobs) (cu_large ~t jobs)
 
-let solve_with_counter ?(use_lpt = true) ~counter inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Approx.Nonpreemptive.solve: C > c*m, no schedule exists";
-  let n = Instance.n inst in
-  let m = Instance.m inst in
-  if m >= n then begin
-    (* One machine per job is optimal (makespan pmax = LB). *)
-    let sched = Array.init n (fun j -> j) in
-    (sched, { t_guess = Instance.pmax inst; probes = 0 })
-  end
-  else begin
-    let class_jobs = Instance.class_jobs inst in
-    let class_sizes =
-      Array.map (List.map (fun j -> (Instance.job inst j).Instance.p)) class_jobs
-    in
-    let cap = Border_search.slot_cap ~machines:m ~slots:(Instance.c inst) in
-    let probes = ref 0 in
-    let feasible t =
-      Ccs_resil.Deadline.check chk_probe;
-      incr probes;
-      let count = ref 0 in
-      (try
-         Array.iter
-           (fun sizes ->
-             count := !count + counter ~t sizes;
-             if !count > cap then raise Exit)
-           class_sizes;
-         true
-       with Exit -> false)
-    in
-    let total = Instance.total_load inst in
-    let lb = max (Instance.pmax inst) ((total + m - 1) / m) in
-    let ub = max lb (Array.fold_left max 0 (Instance.class_load inst)) in
-    (* Integral makespan: standard binary search for the smallest feasible
-       guess (the count is monotone in T). *)
-    let lo = ref lb and hi = ref ub in
-    if not (feasible ub) then
-      invalid_arg "Approx.Nonpreemptive.solve: unschedulable at the upper bound";
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if feasible mid then hi := mid else lo := mid + 1
-    done;
-    let t = !lo in
-    (* Split every class into C_u sub-classes by LPT and round-robin the
-       sub-classes in non-ascending load order. *)
-    let items = ref [] in
-    Array.iteri
-      (fun u jobs ->
-        let sized = List.map (fun j -> (j, (Instance.job inst j).Instance.p)) jobs in
-        let bins = counter ~t (List.map snd sized) in
-        let content, load = Lpt.split ~sorted:use_lpt ~bins sized in
-        Array.iteri
-          (fun k part ->
-            if part <> [] then items := (load.(k), List.map fst part) :: !items)
-          content;
-        ignore u)
-      class_jobs;
-    let sorted = List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev !items) in
-    let per_machine = Round_robin.assign ~machines:m sorted in
-    let assignment = Array.make n (-1) in
-    Array.iteri
-      (fun machine items ->
-        List.iter (fun (_, jobs) -> List.iter (fun j -> assignment.(j) <- machine) jobs) items)
-      per_machine;
-    (assignment, { t_guess = t; probes = !probes })
-  end
+(* The one core. Each class's job indices are sorted once by
+   (p descending, index ascending) into a CSR segment: the LPT placement
+   order, and the order in which a feasibility probe classifies jobs
+   against T with no per-probe sorting and no allocation (the big/mid
+   scratch arrays are reused across probes). O(n log n) once, O(n) per
+   probe, O(log ub) probes.
 
-let solve inst = solve_with_counter ~counter:cu inst
-
-let m_flat_solves = Ccs_obs.Metrics.counter "approx.flat_solves"
-    ~help:"2-approximation solves run directly on the flat representation"
-
-(* Flat fast path. Same algorithm, same answers, different plumbing: each
-   class's job indices are sorted once by (p descending, index ascending)
-   into a CSR segment, so a feasibility probe classifies jobs against T by
-   scanning its segment — no per-probe sorting, no allocation (the big/mid
-   scratch arrays are reused across probes) — and the final LPT split
-   consumes the presorted segment directly. The probe's value sequences
-   (bigs ascending, mids descending) are exactly the ones the list-based
-   [cu] builds, and the LPT placement order matches [Lpt.split]'s stable
-   sort, so [solve_flat (Instance.to_flat i)] is bit-identical to
-   [solve i]. O(n log n) once, O(n) per probe, O(log ub) probes. *)
-let solve_flat fl =
+   [spec = None] counts C_u with that allocation-free scan, which yields
+   exactly the sequences (bigs ascending, mids descending) the list
+   specification [cu] sorts into. [spec = Some f] is the ablation hook: [f]
+   sees each class's sizes in index order, as a list built once per class.
+   [use_lpt = false] places each class in input (index) order instead of
+   the presorted order. *)
+let run ~use_lpt ~spec fl =
   if not (Instance.Flat.schedulable fl) then
     invalid_arg "Approx.Nonpreemptive.solve: C > c*m, no schedule exists";
-  Ccs_obs.Metrics.incr m_flat_solves;
   Ccs_obs.Recorder.phase "approx" @@ fun () ->
   let n = Instance.Flat.n fl in
   let m = Instance.Flat.m fl in
@@ -128,8 +58,6 @@ let solve_flat fl =
     let classes = Instance.Flat.num_classes fl in
     let offsets, ids = Instance.Flat.class_jobs_csr fl in
     let job_p = Instance.Flat.job_p fl in
-    (* Job ids per class, sorted by (p desc, index asc) — the order
-       [Lpt.split]'s stable sort produces from the index-ascending lists. *)
     let sid = Array.copy ids in
     for u = 0 to classes - 1 do
       let lo = offsets.(u) and hi = offsets.(u + 1) in
@@ -144,44 +72,52 @@ let solve_flat fl =
       end
     done;
     let sp = Array.map job_p sid in
-    (* Scratch for one class's big/mid sizes, reused across probes. *)
-    let bigs = Array.make n 0 and mids = Array.make n 0 in
-    let cu_cls ~t u =
-      let lo = offsets.(u) and hi = offsets.(u + 1) in
-      (* The segment is size-descending, so the bigs land in [bigs] in
-         descending order (read backwards for the ascending two-pointer)
-         and the mids in descending order, exactly the sequences the
-         list-based [cu_large] sorts into. *)
-      let nb = ref 0 and nm = ref 0 in
-      for i = lo to hi - 1 do
-        let p = Array.unsafe_get sp i in
-        if 2 * p > t then begin
-          Array.unsafe_set bigs !nb p;
-          incr nb
-        end
-        else if 3 * p > t then begin
-          Array.unsafe_set mids !nm p;
-          incr nm
-        end
-      done;
-      let bi = ref (!nb - 1) and mi = ref 0 and lu = ref 0 in
-      while !mi < !nm do
-        if !bi < 0 then begin
-          lu := !lu + (!nm - !mi);
-          mi := !nm
-        end
-        else if Array.unsafe_get bigs !bi + Array.unsafe_get mids !mi <= t then begin
-          decr bi;
-          incr mi
-        end
-        else begin
-          incr lu;
-          incr mi
-        end
-      done;
-      let c2 = !nb + ((!lu + 1) / 2) in
-      let c1 = (loads.(u) + t - 1) / t in
-      max c1 c2
+    let cu_cls =
+      match spec with
+      | Some f ->
+          let sizes =
+            Array.init classes (fun u ->
+                List.init (offsets.(u + 1) - offsets.(u)) (fun i -> job_p ids.(offsets.(u) + i)))
+          in
+          fun ~t u -> f ~t sizes.(u)
+      | None ->
+          (* Scratch for one class's big/mid sizes, reused across probes. *)
+          let bigs = Array.make n 0 and mids = Array.make n 0 in
+          fun ~t u ->
+            let lo = offsets.(u) and hi = offsets.(u + 1) in
+            (* The segment is size-descending, so bigs and mids both land
+               in descending order; bigs are read backwards for the
+               ascending two-pointer. *)
+            let nb = ref 0 and nm = ref 0 in
+            for i = lo to hi - 1 do
+              let p = Array.unsafe_get sp i in
+              if 2 * p > t then begin
+                Array.unsafe_set bigs !nb p;
+                incr nb
+              end
+              else if 3 * p > t then begin
+                Array.unsafe_set mids !nm p;
+                incr nm
+              end
+            done;
+            let bi = ref (!nb - 1) and mi = ref 0 and lu = ref 0 in
+            while !mi < !nm do
+              if !bi < 0 then begin
+                lu := !lu + (!nm - !mi);
+                mi := !nm
+              end
+              else if Array.unsafe_get bigs !bi + Array.unsafe_get mids !mi <= t then begin
+                decr bi;
+                incr mi
+              end
+              else begin
+                incr lu;
+                incr mi
+              end
+            done;
+            let c2 = !nb + ((!lu + 1) / 2) in
+            let c1 = (loads.(u) + t - 1) / t in
+            max c1 c2
     in
     let cap = Border_search.slot_cap ~machines:m ~slots:(Instance.Flat.c fl) in
     let probes = ref 0 in
@@ -200,6 +136,8 @@ let solve_flat fl =
     let total = Instance.Flat.total_load fl in
     let lb = max (Instance.Flat.pmax fl) ((total + m - 1) / m) in
     let ub = max lb (Array.fold_left max 0 loads) in
+    (* Integral makespan: standard binary search for the smallest feasible
+       guess (the count is monotone in T). *)
     let lo = ref lb and hi = ref ub in
     if not (feasible ub) then
       invalid_arg "Approx.Nonpreemptive.solve: unschedulable at the upper bound";
@@ -208,21 +146,23 @@ let solve_flat fl =
       if feasible mid then hi := mid else lo := mid + 1
     done;
     let t = !lo in
-    (* LPT over each presorted segment, replicating [Lpt.split]'s
-       first-minimum bin scan and reversed per-bin placement order. *)
+    (* Split every class into C_u sub-classes by list scheduling over its
+       segment (each job onto the first least-loaded bin, bins holding
+       their jobs in reverse placement order), then round-robin the
+       sub-classes in non-ascending load order. *)
+    let seg = if use_lpt then sid else ids in
     let items = ref [] in
     for u = 0 to classes - 1 do
-      let lo_u = offsets.(u) and hi_u = offsets.(u + 1) in
       let bins = cu_cls ~t u in
       let load = Array.make bins 0 in
       let content = Array.make bins [] in
-      for i = lo_u to hi_u - 1 do
+      for i = offsets.(u) to offsets.(u + 1) - 1 do
         let best = ref 0 in
         for k = 1 to bins - 1 do
           if load.(k) < load.(!best) then best := k
         done;
-        content.(!best) <- sid.(i) :: content.(!best);
-        load.(!best) <- load.(!best) + sp.(i)
+        content.(!best) <- seg.(i) :: content.(!best);
+        load.(!best) <- load.(!best) + job_p seg.(i)
       done;
       Array.iteri
         (fun k part -> if part <> [] then items := (load.(k), part) :: !items)
@@ -237,3 +177,9 @@ let solve_flat fl =
       per_machine;
     (assignment, { t_guess = t; probes = !probes })
   end
+
+let solve_flat fl = run ~use_lpt:true ~spec:None fl
+let solve inst = solve_flat (Instance.to_flat inst)
+
+let solve_with_counter ?(use_lpt = true) ~counter inst =
+  run ~use_lpt ~spec:(Some counter) (Instance.to_flat inst)

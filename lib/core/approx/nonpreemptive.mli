@@ -27,17 +27,19 @@ val cu_area_only : t:int -> int list -> int
 
 val solve : Instance.t -> Schedule.nonpreemptive * stats
 
-(** Same algorithm directly on the flat representation, with presorted
-    per-class views so a feasibility probe allocates nothing and the whole
-    solve is O(n log n + n log ub). Bit-identical to [solve] on the
-    converted instance. *)
+(** The same solve on the flat representation, which is what {!solve} runs
+    after [Instance.to_flat]: each class's jobs are presorted once into a
+    CSR segment, so a feasibility probe allocates nothing and the whole
+    solve is O(n log n + n log ub). *)
 val solve_flat : Instance.Flat.t -> Schedule.nonpreemptive * stats
 
-(** Ablation hook: same algorithm but with a caller-supplied sub-class
+(** Ablation hook: the same core but with a caller-supplied sub-class
     counter (e.g. {!cu_area_only} for ablation A2) — demonstrating that the
-    careful [C2_u] computation matters. [~use_lpt:false] additionally
+    careful [C2_u] computation matters. The counter sees each class's
+    processing times in job-index order. [~use_lpt:false] additionally
     replaces the LPT order inside each class split by raw input order
-    (ablation A3). Either way the schedule stays valid, only worse. *)
+    (ablation A3). Either way the schedule stays valid, only worse. With
+    [~counter:cu] and LPT this is {!solve}. *)
 val solve_with_counter :
   ?use_lpt:bool ->
   counter:(t:int -> int list -> int) ->

@@ -19,7 +19,6 @@ type stats = {
 
 val solve : Instance.t -> Schedule.preemptive * stats
 
-(** Same algorithm directly on the flat representation (CSR class views,
-    no per-job boxing on the way in). Bit-identical to [solve] on the
-    converted instance. *)
+(** The same solve on the flat representation (CSR class views, no per-job
+    boxing on the way in); {!solve} is [solve_flat (Instance.to_flat i)]. *)
 val solve_flat : Instance.Flat.t -> Schedule.preemptive * stats

@@ -2,16 +2,15 @@ module Q = Rat
 
 type stats = { t_guess : Q.t; probes : int; full_slices : int }
 
-let m_flat_solves = Ccs_obs.Metrics.counter "approx.flat_solves"
-    ~help:"2-approximation solves run directly on the flat representation"
-
-(* The whole algorithm only ever looks at the per-class loads, so the record
-   and flat front-ends share this core verbatim — bit-identical schedules by
-   construction. *)
-let solve_on ~loads ~machines:m ~slots ~total_load =
-  let lb = Bounds.lb_splittable_of ~total_load ~machines:m in
+(* The whole algorithm only ever looks at the per-class loads. *)
+let solve_flat fl =
+  if not (Instance.Flat.schedulable fl) then
+    invalid_arg "Approx.Splittable.solve: C > c*m, no schedule exists";
+  Ccs_obs.Recorder.phase "approx" @@ fun () ->
+  let loads = Instance.Flat.class_load fl and m = Instance.Flat.m fl in
+  let lb = Bounds.lb_splittable_of ~total_load:(Instance.Flat.total_load fl) ~machines:m in
   let { Border_search.t_star = t; probes } =
-    Border_search.search ~loads ~machines:m ~slots ~lb
+    Border_search.search ~loads ~machines:m ~slots:(Instance.Flat.c fl) ~lb
   in
   (* Slice large classes: f_u full slices of size exactly T plus a remainder
      in (0, T]. Every full slice occupies a machine alone (F < m because
@@ -56,20 +55,4 @@ let solve_on ~loads ~machines:m ~slots ~total_load =
   ( { Schedule.blocks = List.rev !blocks; explicit_machines },
     { t_guess = t; probes; full_slices = full } )
 
-let solve inst =
-  if not (Instance.schedulable inst) then
-    invalid_arg "Approx.Splittable.solve: C > c*m, no schedule exists";
-  solve_on
-    ~loads:(Instance.class_load inst)
-    ~machines:(Instance.m inst) ~slots:(Instance.c inst)
-    ~total_load:(Instance.total_load inst)
-
-let solve_flat f =
-  if not (Instance.Flat.schedulable f) then
-    invalid_arg "Approx.Splittable.solve: C > c*m, no schedule exists";
-  Ccs_obs.Metrics.incr m_flat_solves;
-  Ccs_obs.Recorder.phase "approx" @@ fun () ->
-  solve_on
-    ~loads:(Instance.Flat.class_load f)
-    ~machines:(Instance.Flat.m f) ~slots:(Instance.Flat.c f)
-    ~total_load:(Instance.Flat.total_load f)
+let solve inst = solve_flat (Instance.to_flat inst)

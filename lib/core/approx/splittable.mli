@@ -18,7 +18,6 @@ type stats = {
 (** Raises [Invalid_argument] if the instance is unschedulable (C > c*m). *)
 val solve : Instance.t -> Schedule.splittable * stats
 
-(** Same algorithm directly on the flat representation. The two entry
-    points share one core over the per-class load array, so
-    [solve_flat (Instance.to_flat i)] is bit-identical to [solve i]. *)
+(** The same solve on the flat representation; {!solve} is
+    [solve_flat (Instance.to_flat i)]. *)
 val solve_flat : Instance.Flat.t -> Schedule.splittable * stats

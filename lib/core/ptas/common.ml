@@ -25,70 +25,74 @@ let multisets ~parts ~max_sum ~max_count () =
      counter: the DFS visits exactly the same node set at any pool size, so
      Too_many fires under exactly the same inputs. *)
   let count = Atomic.make 0 in
-  (* DFS over parts in descending order; [current] is built descending. *)
+  (* DFS over parts in descending order; [current] is built descending. A
+     node is one multiset, emitted once; its children append one more copy
+     of a part no larger than its last one ([parts] is the list of those
+     parts), so every multiset has exactly one path from the root. *)
   let explore parts0 current0 sum0 cnt0 =
     let out = ref [] in
     let rec go parts current sum cnt =
       Ccs_resil.Deadline.check chk_enum;
       if Atomic.fetch_and_add count 1 >= max_enum_nodes then raise Too_many;
       out := List.rev current :: !out;
-      match parts with
-      | [] -> ()
-      | v :: rest ->
-          if cnt < max_count && sum + v <= max_sum then
-            go parts (v :: current) (sum + v) (cnt + 1);
-          go rest current sum cnt
+      if cnt < max_count then
+        let rec branch = function
+          | [] -> ()
+          | v :: rest as ps ->
+              if sum + v <= max_sum then go ps (v :: current) (sum + v) (cnt + 1);
+              branch rest
+        in
+        branch parts
     in
     go parts0 current0 sum0 cnt0;
     !out
   in
   (* Per-guess enumeration is the widest flat fan-out the PTASs have: split
      on the multiplicity of the largest part (branch j fixes j copies, then
-     enumerates over the remaining part values), which reproduces the
-     sequential spine of the DFS one branch per node. *)
+     enumerates over the remaining part values). The branches partition the
+     sequential DFS's nodes (branch j holds the multisets with exactly j
+     copies of the largest part), so the shared counter reaches the same
+     total at any pool size. *)
   let pieces =
     match parts with
     (* Only fan out on part lists wide enough that each branch subtree
        amortizes the batch overhead (narrow spaces, i.e. coarse delta, run
-       the plain DFS), and only when cores are present to absorb the
-       duplicated spine emissions the decomposition costs. Both gates
-       depend on the input and the machine, never on timing, and either
-       path yields the same sorted deduplicated list — so the enumeration
-       stays deterministic. *)
+       the plain DFS), and only when cores are present. Both gates depend on
+       the input and the machine, never on timing, and either path yields
+       the same sorted list — so the enumeration stays deterministic. *)
     | v0 :: rest when Ccs_par.effective_jobs () > 1 && v0 > 0 && List.length rest >= 6 ->
         let jmax = min max_count (max_sum / v0) in
-        (* The sequential DFS also counts the jmax+1 spine nodes the branch
-           decomposition skips; charge them up front so the total node count
-           — and hence whether Too_many fires — is identical at any pool
-           size (their emissions are duplicates of the branch roots). *)
-        if Atomic.fetch_and_add count (jmax + 1) + jmax + 1 > max_enum_nodes then raise Too_many;
         Ccs_par.parallel_map
           (fun j -> explore rest (List.init j (fun _ -> v0)) (j * v0) j)
           (Array.init (jmax + 1) (fun j -> j))
         |> Array.to_list |> List.concat
     | _ -> explore parts [] 0 0
   in
-  (* dedupe: the DFS above emits each prefix once per branch; collect unique *)
-  List.sort_uniq compare pieces
+  List.sort compare pieces
 
 let bounded_multisets ~parts ~max_sum ~max_count () =
   let parts = List.sort (fun (a, _) (b, _) -> compare b a) parts in
   let out = ref [] in
   let count = ref 0 in
+  (* Same DFS as [multisets], with each part's remaining multiplicity
+     carried along. *)
   let rec go parts current sum cnt =
     Ccs_resil.Deadline.check chk_enum;
     incr count;
     if !count > max_enum_nodes then raise Too_many;
     out := List.rev current :: !out;
-    match parts with
-    | [] -> ()
-    | (v, mult) :: rest ->
-        if mult > 0 && cnt < max_count && sum + v <= max_sum then
-          go ((v, mult - 1) :: rest) (v :: current) (sum + v) (cnt + 1);
-        go rest current sum cnt
+    if cnt < max_count then
+      let rec branch = function
+        | [] -> ()
+        | (v, mult) :: rest ->
+            if mult > 0 && sum + v <= max_sum then
+              go ((v, mult - 1) :: rest) (v :: current) (sum + v) (cnt + 1);
+            branch rest
+      in
+      branch parts
   in
-  ignore (go parts [] 0 0);
-  List.sort_uniq compare !out
+  go parts [] 0 0;
+  List.sort compare !out
 
 exception Budget_exceeded
 

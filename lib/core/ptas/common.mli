@@ -14,16 +14,16 @@ val delta : param -> Rat.t
 
 (** All multisets (as sorted-descending lists) over the given distinct part
     values, with sum <= [max_sum] and at most [max_count] parts. Includes
-    the empty multiset. Raises [Too_many] beyond 200000 enumeration nodes —
-    the configuration spaces of Section 4 are exponential in 1/delta, and
+    the empty multiset. Raises [Too_many] beyond 200000 multisets (the
+    enumeration visits each once) — the configuration spaces of Section 4 are exponential in 1/delta, and
     exceeding the cap means the requested accuracy is out of practical
     reach. *)
 exception Too_many
 
 val multisets : parts:int list -> max_sum:int -> max_count:int -> unit -> int list list
 
-(** Like {!multisets} but each part value [v] has a limited multiplicity
-    [mult v] (used to enumerate the sub-multisets of one class's job-size
+(** Like {!multisets} but over distinct [(v, mult)] pairs: part value [v]
+    has a limited multiplicity [mult] (used to enumerate the sub-multisets of one class's job-size
     histogram in the non-preemptive PTAS). *)
 val bounded_multisets :
   parts:(int * int) list -> max_sum:int -> max_count:int -> unit -> int list list

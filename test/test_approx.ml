@@ -206,6 +206,32 @@ let test_cu_counts () =
   Alcotest.(check int) "bigs dominate" 3 (Ccs.Approx.Nonpreemptive.cu ~t:12 [ 7; 7; 7 ]);
   Alcotest.(check int) "area only" 2 (Ccs.Approx.Nonpreemptive.cu_area_only ~t:12 [ 7; 7; 7 ])
 
+(* The core counts C_u with an allocation-free scan over presorted class
+   segments; [cu] is the list specification of the same count, run through
+   the core's ablation hook. Equal outputs pin the scan to the spec. *)
+let prop_nonpreemptive_core_matches_spec =
+  QCheck.Test.make ~name:"Thm 6: presorted C_u scan = list spec cu" ~count:400
+    (QCheck.int_range 0 1_000_000) (fun seed ->
+      let inst = random_instance ~max_n:120 seed in
+      Ccs.Approx.Nonpreemptive.solve inst
+      = Ccs.Approx.Nonpreemptive.solve_with_counter ~counter:Ccs.Approx.Nonpreemptive.cu inst)
+
+(* Ablations A2/A3 through the core: area-only C_u, with list scheduling in
+   input order and in LPT order. The assignments are pinned. *)
+let test_nonpreemptive_ablation_pinned () =
+  let module N = Ccs.Approx.Nonpreemptive in
+  let inst =
+    I.make ~machines:4 ~slots:2
+      [ (6, 0); (5, 1); (6, 0); (1, 1); (6, 0); (4, 1); (6, 1); (3, 2) ]
+  in
+  let run use_lpt =
+    let a, st = N.solve_with_counter ~use_lpt ~counter:N.cu_area_only inst in
+    (Array.to_list a, st.N.t_guess, st.N.probes)
+  in
+  let pinned = Alcotest.(triple (list int) int int) in
+  Alcotest.check pinned "input order" ([ 0; 1; 2; 3; 0; 3; 1; 0 ], 10, 5) (run false);
+  Alcotest.check pinned "LPT order" ([ 0; 1; 3; 2; 0; 1; 2; 0 ], 10, 5) (run true)
+
 let test_nonpreemptive_example () =
   let inst = I.make ~machines:2 ~slots:2 [ (6, 0); (6, 1); (6, 2); (6, 3) ] in
   let sched, _ = Ccs.Approx.Nonpreemptive.solve inst in
@@ -298,7 +324,9 @@ let () =
         [ Alcotest.test_case "m >= n fast path" `Quick test_preemptive_many_machines ] );
       ( "nonpreemptive",
         [ Alcotest.test_case "C_u computation" `Quick test_cu_counts;
-          Alcotest.test_case "small example" `Quick test_nonpreemptive_example ] );
+          Alcotest.test_case "small example" `Quick test_nonpreemptive_example;
+          Alcotest.test_case "ablation assignments pinned" `Quick
+            test_nonpreemptive_ablation_pinned ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_splittable_valid_and_2approx; prop_splittable_vs_exact;
@@ -306,4 +334,5 @@ let () =
             prop_preemptive_valid_and_2approx; prop_preemptive_vs_split_opt;
             prop_nonpreemptive_valid_and_73; prop_nonpreemptive_vs_exact;
             prop_preemptive_vs_true_opt; prop_preemptive_opt_sandwich;
-            prop_huge_m_safety; prop_bnb_matches_brute; prop_split_opt_lower_bound ] ) ]
+            prop_huge_m_safety; prop_bnb_matches_brute; prop_split_opt_lower_bound;
+            prop_nonpreemptive_core_matches_spec ] ) ]

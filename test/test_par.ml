@@ -183,7 +183,22 @@ let test_multisets_identical_across_jobs () =
   let seq = with_ambient 1 enumerate in
   let par = with_ambient 4 enumerate in
   Alcotest.(check int) "same count" (List.length seq) (List.length par);
-  Alcotest.(check bool) "same configurations" true (seq = par)
+  Alcotest.(check bool) "same configurations" true (seq = par);
+  (* seven part values are wide enough for the parallel split on the
+     largest part; up to 15 of them make C(22,7) = 170544 multisets, under
+     the 200000-node budget, and up to 16 make C(23,7) = 245157, over it *)
+  let wide max_count () =
+    match
+      Ccs.Ptas.Common.multisets ~parts:[ 1; 2; 3; 4; 5; 6; 7 ] ~max_sum:1000 ~max_count ()
+    with
+    | ms -> Some ms
+    | exception Ccs.Ptas.Common.Too_many -> None
+  in
+  let seq = with_ambient 1 (wide 15) and par = with_ambient 4 (wide 15) in
+  Alcotest.(check (option int)) "under budget" (Some 170544) (Option.map List.length seq);
+  Alcotest.(check bool) "same wide configurations" true (seq = par);
+  Alcotest.(check bool) "over budget at jobs 1" true (with_ambient 1 (wide 16) = None);
+  Alcotest.(check bool) "over budget at jobs 4" true (with_ambient 4 (wide 16) = None)
 
 let () =
   QCheck_base_runner.set_seed 20260806;

@@ -202,12 +202,23 @@ let test_delta_sweep () =
     [ 1; 2; 3 ]
 
 let test_common_multisets () =
-  let ms = C.multisets ~parts:[ 2; 3 ] ~max_sum:6 ~max_count:3 () in
+  (* one ptas.enum checkpoint per enumeration node: the DFS visits each
+     multiset once, so the node budget counts multisets, not copies *)
+  let checks f =
+    let before = Ccs_resil.Deadline.checks_total () in
+    let r = f () in
+    (r, Ccs_resil.Deadline.checks_total () - before)
+  in
+  let ms, nodes = checks (C.multisets ~parts:[ 2; 3 ] ~max_sum:6 ~max_count:3) in
   (* {}, {2}, {3}, {2,2}, {3,2}, {3,3}, {2,2,2} *)
   Alcotest.(check int) "count" 7 (List.length ms);
-  let bounded = C.bounded_multisets ~parts:[ (2, 1); (3, 2) ] ~max_sum:8 ~max_count:3 () in
+  Alcotest.(check int) "ptas.enum checkpoints" 7 nodes;
+  let bounded, nodes =
+    checks (C.bounded_multisets ~parts:[ (2, 1); (3, 2) ] ~max_sum:8 ~max_count:3)
+  in
   (* {}, {2}, {3}, {3,2}, {3,3}, {3,3,2} *)
-  Alcotest.(check int) "bounded count" 6 (List.length bounded)
+  Alcotest.(check int) "bounded count" 6 (List.length bounded);
+  Alcotest.(check int) "bounded ptas.enum checkpoints" 6 nodes
 
 let test_geometric_search () =
   let oracle t = if Q.(t >= Q.of_int 10) then Some (Q.to_string t) else None in

@@ -1,15 +1,12 @@
 (* Streaming parser, flat representation, binary format, and record↔flat
    parity: the tokenizer must be invariant under chunking (every token
-   boundary exercised), both parsers must agree byte-for-byte on results
-   AND error messages, and the flat solver paths must be bit-identical to
-   the record paths. *)
+   boundary exercised), and both parsers must agree byte-for-byte on
+   results AND error messages. *)
 
 module I = Ccs.Instance
 module F = Ccs.Instance.Flat
-module S = Ccs.Schedule
 module Io = Ccs.Io
 module G = Ccs.Generator
-module Q = Rat
 
 let flat_equal a b =
   F.n a = F.n b && F.m a = F.m b && F.c a = F.c b
@@ -199,61 +196,6 @@ let prop_text_roundtrip_flat =
       | Ok f -> flat_equal fl f
       | Error _ -> false)
 
-(* bit-identity of the flat solver paths against the record paths *)
-
-let splittable_equal (a : S.splittable) (b : S.splittable) =
-  List.length a.S.blocks = List.length b.S.blocks
-  && List.for_all2
-       (fun (x : S.block) (y : S.block) ->
-         x.S.cls = y.S.cls && x.m_start = y.m_start && x.m_count = y.m_count
-         && Q.equal x.per_machine y.per_machine)
-       a.S.blocks b.S.blocks
-  && List.length a.S.explicit_machines = List.length b.S.explicit_machines
-  && List.for_all2
-       (fun (ma, la) (mb, lb) ->
-         ma = mb
-         && List.length la = List.length lb
-         && List.for_all2
-              (fun (ca, qa) (cb, qb) -> ca = cb && Q.equal qa qb)
-              la lb)
-       a.S.explicit_machines b.S.explicit_machines
-
-let preemptive_equal (a : S.preemptive) (b : S.preemptive) =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun la lb ->
-         List.length la = List.length lb
-         && List.for_all2
-              (fun (x : S.ppiece) (y : S.ppiece) ->
-                x.S.pjob = y.S.pjob && Q.equal x.start y.start && Q.equal x.len y.len)
-              la lb)
-       a b
-
-let prop_solve_flat_bit_identical =
-  QCheck.Test.make ~name:"solve_flat bit-identical to solve (all variants)"
-    ~count:150
-    (QCheck.int_range 0 1_000_000) (fun seed ->
-      let fl = G.generate_flat ~seed (spec_of_seed seed) in
-      if not (F.schedulable fl) then true
-      else
-        let inst = I.of_flat fl in
-        let s_rec, st_rec = Ccs.Approx.Splittable.solve inst in
-        let s_flat, st_flat = Ccs.Approx.Splittable.solve_flat fl in
-        let p_rec, pt_rec = Ccs.Approx.Preemptive.solve inst in
-        let p_flat, pt_flat = Ccs.Approx.Preemptive.solve_flat fl in
-        let a_rec, at_rec = Ccs.Approx.Nonpreemptive.solve inst in
-        let a_flat, at_flat = Ccs.Approx.Nonpreemptive.solve_flat fl in
-        splittable_equal s_rec s_flat
-        && Q.equal st_rec.Ccs.Approx.Splittable.t_guess st_flat.Ccs.Approx.Splittable.t_guess
-        && st_rec.probes = st_flat.probes
-        && st_rec.full_slices = st_flat.full_slices
-        && preemptive_equal p_rec p_flat
-        && Q.equal pt_rec.Ccs.Approx.Preemptive.t_guess pt_flat.Ccs.Approx.Preemptive.t_guess
-        && pt_rec.probes = pt_flat.probes
-        && pt_rec.repacked = pt_flat.repacked
-        && a_rec = a_flat
-        && at_rec = at_flat)
-
 let prop_binary_roundtrip_random =
   QCheck.Test.make ~name:"save_flat/load_flat roundtrip" ~count:50
     (QCheck.int_range 0 1_000_000) (fun seed ->
@@ -277,5 +219,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_chunking_invariant; prop_record_parser_agrees;
             prop_flat_record_roundtrip; prop_generate_flat_matches;
-            prop_text_roundtrip_flat; prop_solve_flat_bit_identical;
-            prop_binary_roundtrip_random ] ) ]
+            prop_text_roundtrip_flat; prop_binary_roundtrip_random ] ) ]
